@@ -372,8 +372,18 @@ impl<T: Target + Sync + ?Sized> Kind<T> for Beam {
     type Sampler = BeamSampler;
     type Output = BeamResult;
 
+    /// `beam/ecc-on` or `beam/ecc-off`, plus a suffix per override: the
+    /// flux and cross-sections change the tallies, so they belong to the
+    /// campaign identity. [`Beam::auto`] keeps the bare label.
     fn label(&self) -> String {
-        format!("beam/{}", if self.ecc { "ecc-on" } else { "ecc-off" })
+        let mut label = format!("beam/{}", if self.ecc { "ecc-on" } else { "ecc-off" });
+        if self.flux != 0.0 {
+            label.push_str(&format!("/flux={:?}", self.flux));
+        }
+        if let Some(xsec) = &self.xsec {
+            label.push_str(&format!("/xsec={:016x}", xsec.digest()));
+        }
+        label
     }
 
     fn ecc(&self) -> bool {
@@ -571,6 +581,20 @@ mod tests {
             })
             .collect();
         assert_eq!(counts[0], counts[1]);
+    }
+
+    #[test]
+    fn label_names_overrides_only() {
+        let label = |b: Beam| <Beam as Kind<workloads::Workload>>::label(&b);
+        assert_eq!(label(Beam::auto(true)), "beam/ecc-on");
+        assert_eq!(label(Beam::auto(false)), "beam/ecc-off");
+        assert_eq!(label(Beam::auto(true).flux(3.5e6)), "beam/ecc-on/flux=3500000.0");
+        let device = DeviceModel::named("k40c-sim");
+        let mut xsec = CrossSections::ground_truth(&device);
+        let base = label(Beam::auto(true).with_xsec(xsec.clone()));
+        assert!(base.starts_with("beam/ecc-on/xsec="), "{base}");
+        xsec.mbu_probability = 0.3;
+        assert_ne!(label(Beam::auto(true).with_xsec(xsec)), base);
     }
 
     #[test]

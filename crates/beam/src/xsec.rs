@@ -46,6 +46,16 @@ pub struct CrossSections {
     pub hidden_sdc_fraction: f64,
 }
 
+impl CrossSections {
+    /// FNV-1a over every field (via the round-trip-exact `Debug` form):
+    /// a stable content digest naming an override in campaign labels.
+    pub fn digest(&self) -> u64 {
+        format!("{self:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    }
+}
+
 /// The beam-only ground-truth corpus, one `.xsec` file per architecture.
 const GROUND_TRUTH: &[(Architecture, &str)] = &[
     (Architecture::Kepler, include_str!("../../../specs/devices/k40c.xsec")),

@@ -10,13 +10,21 @@
 //! of the bare run. The assertion threshold is 3% on the best-of-samples
 //! rate; CI runs the `--smoke` mode on every push.
 //!
+//! It also reports, without asserting, the cost of the engine's trace
+//! hook points on one golden run: `no_sink` (no sink parameter at all),
+//! `none_sink` (`run_with_sink(.., None)`, the disabled path: one
+//! `Option` check per hook point, which should match `no_sink`) and
+//! `counting_sink` (the cheapest enabled sink: the floor cost of
+//! constructing and delivering every event).
+//!
 //! Self-reporting like the other benches: writes
 //! `BENCH_telemetry_overhead.json` (override with `BENCH_JSON_PATH`).
 
 use campaign::{Budget, Campaign};
 use gpu_arch::{CodeGen, DeviceModel, Precision};
+use gpu_sim::{run_with_sink, RunOptions, Target};
 use injector::{Avf, Injector};
-use obs::{CampaignObserver, MetricsRegistry, SpanBus};
+use obs::{CampaignObserver, CountingSink, MetricsRegistry, SpanBus, TraceSink};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -40,6 +48,38 @@ fn run_once(workload: &Workload, device: &DeviceModel, telemetry: bool) -> f64 {
     let secs = t.elapsed().as_secs_f64();
     black_box((result, metrics.snapshot().counters.len(), spans.len()));
     secs
+}
+
+/// Best-of-`rounds` seconds of one golden run of `workload` per trace-hook
+/// configuration, interleaved round by round: `[no_sink, none_sink,
+/// counting_sink]`.
+fn hook_costs(workload: &Workload, device: &DeviceModel, rounds: usize) -> [f64; 3] {
+    let opts = RunOptions::default();
+    let mut best = [f64::INFINITY; 3];
+    for _ in 0..rounds {
+        let t = Instant::now();
+        black_box(workload.execute_golden(device));
+        best[0] = best[0].min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        let memory = workload.fresh_memory();
+        black_box(run_with_sink(device, workload.kernel(), workload.launch(), memory, &opts, None));
+        best[1] = best[1].min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        let mut sink = CountingSink::default();
+        let memory = workload.fresh_memory();
+        let sink_ref = Some(&mut sink as &mut dyn TraceSink);
+        black_box(run_with_sink(
+            device,
+            workload.kernel(),
+            workload.launch(),
+            memory,
+            &opts,
+            sink_ref,
+        ));
+        black_box(sink.events);
+        best[2] = best[2].min(t.elapsed().as_secs_f64());
+    }
+    best
 }
 
 fn main() {
@@ -90,12 +130,21 @@ fn main() {
         ratios.len()
     );
 
+    let hook_workload = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Small);
+    let hooks = hook_costs(&hook_workload, &device, if smoke { 5 } else { 30 });
+    for (name, secs) in ["no_sink", "none_sink", "counting_sink"].iter().zip(hooks) {
+        println!("telemetry_overhead/hooks/{name:<13} best {:.3} ms", secs * 1e3);
+    }
+
     let path = std::env::var("BENCH_JSON_PATH")
         .unwrap_or_else(|_| "BENCH_telemetry_overhead.json".to_string());
     let mut json = String::from("{\n  \"bench\": \"telemetry_overhead\",\n");
     let _ = writeln!(json, "  \"trials\": {TRIALS},");
     let _ = writeln!(json, "  \"bare_best_secs\": {bare:.9},");
     let _ = writeln!(json, "  \"telemetry_best_secs\": {telemetry:.9},");
+    let _ = writeln!(json, "  \"hook_no_sink_best_secs\": {:.9},", hooks[0]);
+    let _ = writeln!(json, "  \"hook_none_sink_best_secs\": {:.9},", hooks[1]);
+    let _ = writeln!(json, "  \"hook_counting_sink_best_secs\": {:.9},", hooks[2]);
     let _ = writeln!(json, "  \"overhead\": {overhead:.6}");
     json.push_str("}\n");
     if let Err(e) = std::fs::write(&path, json) {

@@ -40,11 +40,12 @@
 //! --progress           render a stderr progress meter per campaign
 //! --progress-interval MS  minimum milliseconds between progress renders
 //!                      (default 200; implies --progress)
-//! --checkpoint-dir DIR durable checkpoint store: campaigns save
-//!                      shard-boundary checkpoints under DIR and a
-//!                      re-run resumes each campaign from its last
-//!                      checkpoint (kill-safe; applies to the observed
-//!                      commands table1/fig3/fig4/fig5/all)
+//! --checkpoint-dir DIR durable checkpoint store: every command's
+//!                      campaigns save shard-boundary checkpoints under
+//!                      DIR, and a campaign with the same kind, target
+//!                      and budget — in a re-run, or in a later figure
+//!                      of the same run — resumes from its last
+//!                      checkpoint (kill-safe)
 //! --spans-out FILE     write campaign → shard → trial → engine-phase
 //!                      spans as Chrome Trace Event Format JSON (load in
 //!                      chrome://tracing or Perfetto)
@@ -60,9 +61,9 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 
 use bench::{
-    avf_breakdown, codegen_comparison, convergence, device_pipeline_observed, due_analysis, fig1,
-    fig3_observed, fig4_observed, fig5_observed, fig6, hidden_gap_closure, render, table1_observed,
-    CampaignObservation, DeviceReport, GapClosure, HarnessConfig, ObserveCtx,
+    avf_breakdown, codegen_comparison, convergence, device_pipeline, due_analysis, fig3, fig4,
+    fig5, fig6, hidden_gap_closure, render, table1, CampaignObservation, DeviceReport, GapClosure,
+    HarnessConfig, ObserveCtx,
 };
 use gpu_arch::{DeviceRegistry, DeviceSpec};
 use obs::RunReport;
@@ -252,29 +253,30 @@ fn main() {
         };
 
         match what.as_str() {
-            "table1" => print!("{}", render::table1(&table1_observed(&cfg, &mut ctx))),
-            "fig1" => print!("{}", render::fig1(&fig1(&cfg))),
-            "fig3" => print!("{}", render::fig3(&fig3_observed(&cfg, &mut ctx))),
-            "fig4" => print!("{}", render::fig4(&fig4_observed(&cfg, &mut ctx))),
-            "fig5" => print!("{}", render::fig5(&fig5_observed(&cfg, &mut ctx))),
+            "table1" => print!("{}", render::table1(&table1(&cfg, &mut ctx))),
+            "fig1" => print!("{}", render::fig1(&table1(&cfg, &mut ctx))),
+            "fig3" => print!("{}", render::fig3(&fig3(&cfg, &mut ctx))),
+            "fig4" => print!("{}", render::fig4(&fig4(&cfg, &mut ctx))),
+            "fig5" => print!("{}", render::fig5(&fig5(&cfg, &mut ctx))),
             "fig6" => {
-                let set = fig6(&cfg);
+                let set = fig6(&cfg, &mut ctx);
                 print!("{}", render::fig6(&set));
                 println!();
                 print!("{}", render::due(&due_analysis(&set)));
             }
-            "ablate" => print!("{}", bench::ablations::render(&cfg)),
-            "codegen" => print!("{}", render::codegen(&codegen_comparison(&cfg))),
-            "breakdown" => print!("{}", render::breakdown(&avf_breakdown(&cfg))),
+            "ablate" => print!("{}", bench::ablations::render(&cfg, &mut ctx)),
+            "codegen" => print!("{}", render::codegen(&codegen_comparison(&cfg, &mut ctx))),
+            "breakdown" => print!("{}", render::breakdown(&avf_breakdown(&cfg, &mut ctx))),
             "convergence" => {
-                print!("{}", render::convergence(&convergence(&cfg, workloads::Benchmark::Hotspot)))
+                let rows = convergence(&cfg, workloads::Benchmark::Hotspot, &mut ctx);
+                print!("{}", render::convergence(&rows))
             }
             "due" => {
-                let set = fig6(&cfg);
+                let set = fig6(&cfg, &mut ctx);
                 print!("{}", render::due(&due_analysis(&set)));
             }
             "gap" => {
-                let set = hidden_gap_closure(&cfg);
+                let set = hidden_gap_closure(&cfg, &mut ctx);
                 print!("{}", render::gap(&set));
                 gap_set = Some(set);
             }
@@ -286,27 +288,28 @@ fn main() {
                     );
                     std::process::exit(2);
                 };
-                let report = device_pipeline_observed(spec, &cfg, Some(&mut ctx));
+                let report = device_pipeline(spec, &cfg, &mut ctx);
                 print!("{}", render::device_report(&report));
                 device_set = Some(report);
             }
             "all" => {
-                print!("{}", render::table1(&table1_observed(&cfg, &mut ctx)));
+                let profiles = table1(&cfg, &mut ctx);
+                print!("{}", render::table1(&profiles));
                 println!();
-                print!("{}", render::fig1(&fig1(&cfg)));
+                print!("{}", render::fig1(&profiles));
                 println!();
-                print!("{}", render::fig3(&fig3_observed(&cfg, &mut ctx)));
+                print!("{}", render::fig3(&fig3(&cfg, &mut ctx)));
                 println!();
-                print!("{}", render::fig4(&fig4_observed(&cfg, &mut ctx)));
+                print!("{}", render::fig4(&fig4(&cfg, &mut ctx)));
                 println!();
-                print!("{}", render::fig5(&fig5_observed(&cfg, &mut ctx)));
+                print!("{}", render::fig5(&fig5(&cfg, &mut ctx)));
                 println!();
-                let set = fig6(&cfg);
+                let set = fig6(&cfg, &mut ctx);
                 print!("{}", render::fig6(&set));
                 println!();
                 print!("{}", render::due(&due_analysis(&set)));
                 println!();
-                let gaps = hidden_gap_closure(&cfg);
+                let gaps = hidden_gap_closure(&cfg, &mut ctx);
                 print!("{}", render::gap(&gaps));
                 gap_set = Some(gaps);
             }

@@ -5,7 +5,7 @@
 //! DESIGN.md maps each function to its paper counterpart.
 
 use beam::{Beam, BeamResult};
-use campaign::{Budget, Campaign};
+use campaign::{Budget, Campaign, Kind};
 use gpu_arch::{CodeGen, DeviceModel, DeviceSpec, MixCategory, Precision};
 use gpu_sim::Target;
 use injector::{Avf, AvfResult, HiddenClass, HiddenCoverage, Injector};
@@ -110,8 +110,10 @@ impl CampaignObservation {
     }
 }
 
-/// Observation hooks threaded through the `*_observed` experiment
-/// variants.
+/// The run-wide campaign context every experiment takes: each campaign
+/// runs through [`ObserveCtx::run`], which attaches a fresh metrics
+/// registry and progress meter and, when `repro` was given them, the
+/// checkpoint store, span bus and status publisher.
 pub struct ObserveCtx<'a> {
     /// Render stderr progress meters while campaigns run.
     pub progress: bool,
@@ -122,8 +124,9 @@ pub struct ObserveCtx<'a> {
     pub observe: &'a mut dyn FnMut(CampaignObservation),
     /// Durable checkpoint store shared by every campaign in the run:
     /// each campaign saves shard-boundary checkpoints to it and resumes
-    /// automatically from its own last checkpoint (`repro
-    /// --checkpoint-dir`).
+    /// from the last checkpoint with the same [`campaign::CampaignKey`]
+    /// (`repro --checkpoint-dir`). A campaign that recurs across
+    /// experiments — fig4's AVFs inside fig6 — resumes as finished.
     pub store: Option<&'a mut campaign::CheckpointStore>,
     /// Span bus collecting campaign → shard → trial → engine-phase spans
     /// across every campaign in the run (`repro --spans-out`).
@@ -135,39 +138,53 @@ pub struct ObserveCtx<'a> {
 }
 
 impl<'a> ObserveCtx<'a> {
-    /// Shared per-campaign telemetry setup: a fresh registry (Arc so the
-    /// background publisher can snapshot it concurrently), a progress
-    /// meter honoring `--progress-interval`, and an observer carrying the
-    /// run-wide span bus.
-    fn begin_campaign(
-        &self,
+    /// A context that hands each observation to `observe` and attaches no
+    /// progress meter, store, spans or publisher.
+    pub fn new(observe: &'a mut dyn FnMut(CampaignObservation)) -> Self {
+        ObserveCtx {
+            progress: false,
+            progress_interval: None,
+            observe,
+            store: None,
+            spans: None,
+            publisher: None,
+        }
+    }
+
+    /// Run one campaign of `kind` over `target` on `device`: tally
+    /// per-trial metrics, tick a progress meter (total = budget ceiling;
+    /// adaptive campaigns may finish early), append the target's profile
+    /// gauges and emit one [`CampaignObservation`] labeled `label`.
+    ///
+    /// # Panics
+    /// When the campaign fails (golden run, checkpoint store).
+    pub fn run<T: Target + Sync + ?Sized, K: Kind<T>>(
+        &mut self,
         label: &str,
+        kind: K,
+        target: &T,
         device: &DeviceModel,
-        ceiling: u64,
-    ) -> (std::sync::Arc<MetricsRegistry>, Progress) {
+        budget: &Budget,
+    ) -> K::Output {
         let metrics = std::sync::Arc::new(MetricsRegistry::new());
-        let mut meter = Progress::new(label, ceiling, self.progress);
+        let mut meter = Progress::new(label, budget.ceiling as u64, self.progress);
         if let Some(interval) = self.progress_interval {
             meter = meter.with_interval(interval);
         }
         if let Some(publisher) = self.publisher {
             publisher.set_campaign(label, device.name.clone(), std::sync::Arc::clone(&metrics));
         }
-        (metrics, meter)
-    }
-
-    /// Shared per-campaign teardown: finish the meter, append profile
-    /// gauges, force one status publish and hand off the observation.
-    fn end_campaign<T: Target + Sync + ?Sized>(
-        &mut self,
-        label: &str,
-        metrics: &MetricsRegistry,
-        meter: &Progress,
-        target: &T,
-        device: &DeviceModel,
-    ) {
+        let mut observer = CampaignObserver::with_metrics(&metrics);
+        observer.progress = Some(&meter);
+        observer.spans = self.spans;
+        let mut campaign =
+            Campaign::new(kind, target, device).budget(budget.clone()).observer(observer);
+        if let Some(store) = self.store.as_deref_mut() {
+            campaign = campaign.store(store);
+        }
+        let output = campaign.run().unwrap_or_else(|e| panic!("campaign {label} failed: {e}"));
         meter.finish();
-        profile(target, device).export_metrics(metrics);
+        profile(target, device).export_metrics(&metrics);
         if let Some(publisher) = self.publisher {
             let _ = publisher.publish_now();
         }
@@ -176,68 +193,27 @@ impl<'a> ObserveCtx<'a> {
             device: device.name.clone(),
             snapshot: metrics.snapshot(),
         });
+        output
     }
-}
 
-/// Run one AVF campaign on the shared engine; when observed, tally
-/// per-trial metrics, tick a progress meter (total = budget ceiling;
-/// adaptive campaigns may finish early), append the workload's profile
-/// gauges, and emit one [`CampaignObservation`].
-fn observed_avf<T: Target + Sync + ?Sized>(
-    label: &str,
-    injector_kind: Injector,
-    target: &T,
-    device: &DeviceModel,
-    budget: &Budget,
-    ctx: Option<&mut ObserveCtx<'_>>,
-) -> Result<AvfResult, injector::Unsupported> {
-    injector_kind.supports(target, device)?;
-    let campaign = Campaign::new(Avf::new(injector_kind), target, device).budget(budget.clone());
-    let Some(ctx) = ctx else {
-        return Ok(campaign.run().expect("injection campaign failed"));
-    };
-    let (metrics, meter) = ctx.begin_campaign(label, device, budget.ceiling as u64);
-    let mut observer = CampaignObserver::with_metrics(&metrics);
-    observer.progress = Some(&meter);
-    observer.spans = ctx.spans;
-    let campaign = match ctx.store.as_deref_mut() {
-        Some(store) => campaign.store(store),
-        None => campaign,
-    };
-    let result = campaign.observer(observer).run().expect("injection campaign failed");
-    ctx.end_campaign(label, &metrics, &meter, target, device);
-    Ok(result)
-}
-
-/// [`observed_avf`]'s beam counterpart.
-fn observed_beam<T: Target + Sync + ?Sized>(
-    label: &str,
-    target: &T,
-    device: &DeviceModel,
-    ecc: bool,
-    budget: &Budget,
-    ctx: Option<&mut ObserveCtx<'_>>,
-) -> BeamResult {
-    let campaign = Campaign::new(Beam::auto(ecc), target, device).budget(budget.clone());
-    let Some(ctx) = ctx else {
-        return campaign.run().expect("beam campaign failed");
-    };
-    let (metrics, meter) = ctx.begin_campaign(label, device, budget.ceiling as u64);
-    let mut observer = CampaignObserver::with_metrics(&metrics);
-    observer.progress = Some(&meter);
-    observer.spans = ctx.spans;
-    let campaign = match ctx.store.as_deref_mut() {
-        Some(store) => campaign.store(store),
-        None => campaign,
-    };
-    let result = campaign.observer(observer).run().expect("beam campaign failed");
-    ctx.end_campaign(label, &metrics, &meter, target, device);
-    result
+    /// [`ObserveCtx::run`] for an `injector` AVF campaign, or `None` when
+    /// the injector cannot instrument `target` on `device`.
+    fn avf(
+        &mut self,
+        label: &str,
+        injector: Injector,
+        target: &Workload,
+        device: &DeviceModel,
+        budget: &Budget,
+    ) -> Option<AvfResult> {
+        injector.supports(target, device).ok()?;
+        Some(self.run(label, Avf::new(injector), target, device, budget))
+    }
 }
 
 // ------------------------------------------------------------- Table I --
 
-/// One Table I row.
+/// One Table I row, plus the code's Figure 1 instruction mix.
 #[derive(Clone, Debug)]
 pub struct ProfileRow {
     /// "Kepler" or "Volta".
@@ -252,19 +228,14 @@ pub struct ProfileRow {
     pub ipc: f64,
     /// Achieved occupancy.
     pub occupancy: f64,
+    /// Figure 1 instruction-mix fractions in [`MixCategory::ALL`] order.
+    pub mix_fractions: [f64; MixCategory::COUNT],
 }
 
-/// Regenerate Table I: per-code shared memory, registers, IPC, occupancy.
-pub fn table1(cfg: &HarnessConfig) -> Vec<ProfileRow> {
-    table1_impl(cfg, None)
-}
-
-/// [`table1`] emitting one observation (φ/IPC/occupancy gauges) per code.
-pub fn table1_observed(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<ProfileRow> {
-    table1_impl(cfg, Some(ctx))
-}
-
-fn table1_impl(cfg: &HarnessConfig, mut ctx: Option<&mut ObserveCtx<'_>>) -> Vec<ProfileRow> {
+/// Regenerate Table I — per-code shared memory, registers, IPC and
+/// occupancy — and the Figure 1 instruction mixes from the same profiles,
+/// emitting one observation (φ/IPC/occupancy gauges) per code.
+pub fn table1(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<ProfileRow> {
     let (kepler, volta) = devices();
     let mut rows = Vec::new();
     let sets = [
@@ -274,15 +245,13 @@ fn table1_impl(cfg: &HarnessConfig, mut ctx: Option<&mut ObserveCtx<'_>>) -> Vec
     for (device_label, dm, suite) in sets {
         for w in suite {
             let p = profile(&w, dm);
-            if let Some(c) = ctx.as_deref_mut() {
-                let metrics = MetricsRegistry::new();
-                p.export_metrics(&metrics);
-                (c.observe)(CampaignObservation {
-                    campaign: format!("table1/{device_label}/{}", w.name),
-                    device: dm.name.clone(),
-                    snapshot: metrics.snapshot(),
-                });
-            }
+            let metrics = MetricsRegistry::new();
+            p.export_metrics(&metrics);
+            (ctx.observe)(CampaignObservation {
+                campaign: format!("table1/{device_label}/{}", w.name),
+                device: dm.name.clone(),
+                snapshot: metrics.snapshot(),
+            });
             rows.push(ProfileRow {
                 device: device_label,
                 name: w.name.clone(),
@@ -290,36 +259,9 @@ fn table1_impl(cfg: &HarnessConfig, mut ctx: Option<&mut ObserveCtx<'_>>) -> Vec
                 regs: p.regs_per_thread,
                 ipc: p.ipc,
                 occupancy: p.occupancy,
+                mix_fractions: p.mix_fractions,
             });
         }
-    }
-    rows
-}
-
-// ------------------------------------------------------------ Figure 1 --
-
-/// One Figure 1 bar: the instruction mix of a code.
-#[derive(Clone, Debug)]
-pub struct MixRow {
-    /// "Kepler" or "Volta".
-    pub device: &'static str,
-    /// Workload name.
-    pub name: String,
-    /// Fractions in [`MixCategory::ALL`] order.
-    pub fractions: [f64; MixCategory::COUNT],
-}
-
-/// Regenerate Figure 1: instruction-type percentages per code.
-pub fn fig1(cfg: &HarnessConfig) -> Vec<MixRow> {
-    let (kepler, volta) = devices();
-    let mut rows = Vec::new();
-    for w in kepler_suite(CodeGen::Cuda7, cfg.profile_scale) {
-        let p = profile(&w, &kepler);
-        rows.push(MixRow { device: "Kepler", name: w.name.clone(), fractions: p.mix_fractions });
-    }
-    for w in volta_suite(cfg.profile_scale) {
-        let p = profile(&w, &volta);
-        rows.push(MixRow { device: "Volta", name: w.name.clone(), fractions: p.mix_fractions });
     }
     rows
 }
@@ -347,7 +289,7 @@ pub struct Fig3Row {
 fn fig3_device(
     device: &DeviceModel,
     cfg: &HarnessConfig,
-    mut ctx: Option<&mut ObserveCtx<'_>>,
+    ctx: &mut ObserveCtx<'_>,
 ) -> Vec<Fig3Row> {
     let label = device.arch.name();
     let benches = microbench::suite(device);
@@ -355,8 +297,7 @@ fn fig3_device(
     for mb in &benches {
         let is_rf = mb.name == "RF";
         let obs_label = format!("fig3/{label}/{}", mb.name);
-        let res =
-            observed_beam(&obs_label, mb, device, !is_rf, &cfg.bench_beam, ctx.as_deref_mut());
+        let res = ctx.run(&obs_label, Beam::auto(!is_rf), mb, device, &cfg.bench_beam);
         let per_mb = if is_rf {
             // Report the register file per megabyte, as the figure does.
             let golden = mb.execute_golden(device);
@@ -394,18 +335,9 @@ fn fig3_device(
 }
 
 /// Regenerate Figure 3: micro-benchmark FIT rates, both devices.
-pub fn fig3(cfg: &HarnessConfig) -> Vec<Fig3Row> {
-    fig3_impl(cfg, None)
-}
-
-/// [`fig3`] with per-campaign observation (metrics snapshots, progress).
-pub fn fig3_observed(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<Fig3Row> {
-    fig3_impl(cfg, Some(ctx))
-}
-
-fn fig3_impl(cfg: &HarnessConfig, mut ctx: Option<&mut ObserveCtx<'_>>) -> Vec<Fig3Row> {
+pub fn fig3(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<Fig3Row> {
     let (kepler, volta) = devices();
-    let mut rows = fig3_device(&kepler, cfg, ctx.as_deref_mut());
+    let mut rows = fig3_device(&kepler, cfg, ctx);
     rows.extend(fig3_device(&volta, cfg, ctx));
     rows
 }
@@ -466,39 +398,22 @@ fn volta_fig4_set(scale: Scale) -> Vec<Workload> {
 /// Regenerate Figure 4: per-code AVF. On Kepler both injectors run (each
 /// on the codegen it supports); on Volta only NVBitFI. SASSIFI rows are
 /// absent for proprietary-library codes, as on real hardware.
-pub fn fig4(cfg: &HarnessConfig) -> Vec<AvfRow> {
-    fig4_impl(cfg, None)
-}
-
-/// [`fig4`] with per-campaign observation (metrics snapshots, progress).
-pub fn fig4_observed(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<AvfRow> {
-    fig4_impl(cfg, Some(ctx))
-}
-
-fn fig4_impl(cfg: &HarnessConfig, mut ctx: Option<&mut ObserveCtx<'_>>) -> Vec<AvfRow> {
+pub fn fig4(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<AvfRow> {
     let (kepler, volta) = devices();
-    let mut rows = Vec::new();
     let budget = &cfg.injection;
-
-    for w in kepler_suite(CodeGen::Cuda7, cfg.scale) {
-        let label = format!("fig4/Kepler/SASSIFI/{}", w.name);
-        if let Ok(r) =
-            observed_avf(&label, Injector::Sassifi, &w, &kepler, budget, ctx.as_deref_mut())
-        {
-            rows.push(AvfRow::from("Kepler", &r));
+    let sets = [
+        ("Kepler", Injector::Sassifi, &kepler, kepler_suite(CodeGen::Cuda7, cfg.scale)),
+        ("Kepler", Injector::NvBitFi, &kepler, kepler_suite(CodeGen::Cuda10, cfg.scale)),
+        ("Volta", Injector::NvBitFi, &volta, volta_fig4_set(cfg.scale)),
+    ];
+    let mut rows = Vec::new();
+    for (device, injector, dm, suite) in sets {
+        for w in suite {
+            let label = format!("fig4/{device}/{injector}/{}", w.name);
+            if let Some(r) = ctx.avf(&label, injector, &w, dm, budget) {
+                rows.push(AvfRow::from(device, &r));
+            }
         }
-    }
-    for w in kepler_suite(CodeGen::Cuda10, cfg.scale) {
-        let label = format!("fig4/Kepler/NVBitFI/{}", w.name);
-        let r = observed_avf(&label, Injector::NvBitFi, &w, &kepler, budget, ctx.as_deref_mut())
-            .expect("NVBitFI supports Kepler");
-        rows.push(AvfRow::from("Kepler", &r));
-    }
-    for w in volta_fig4_set(cfg.scale) {
-        let label = format!("fig4/Volta/NVBitFI/{}", w.name);
-        let r = observed_avf(&label, Injector::NvBitFi, &w, &volta, budget, ctx.as_deref_mut())
-            .expect("NVBitFI supports Volta");
-        rows.push(AvfRow::from("Volta", &r));
     }
     rows
 }
@@ -564,54 +479,42 @@ fn volta_fig5_sets(scale: Scale) -> (Vec<Workload>, Vec<Workload>) {
     (off, on)
 }
 
-fn beam_row(
-    device: &'static str,
-    w: &Workload,
-    dm: &DeviceModel,
-    ecc: bool,
-    cfg: &HarnessConfig,
-    ctx: Option<&mut ObserveCtx<'_>>,
-) -> BeamRow {
-    let label = format!("fig5/{device}/ecc-{}/{}", if ecc { "on" } else { "off" }, w.name);
-    let res = observed_beam(&label, w, dm, ecc, &cfg.beam, ctx);
-    BeamRow {
-        device,
-        name: w.name.clone(),
-        ecc,
-        sdc_fit: res.sdc_fit.fit,
-        due_fit: res.due_fit.fit,
-        sdc_errors: res.counts.sdc,
-        due_errors: res.counts.due,
-    }
-}
-
 /// Regenerate Figure 5: workload beam FIT rates, ECC off and on.
-pub fn fig5(cfg: &HarnessConfig) -> Vec<BeamRow> {
-    fig5_impl(cfg, None)
-}
-
-/// [`fig5`] with per-campaign observation (metrics snapshots, progress).
-pub fn fig5_observed(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<BeamRow> {
-    fig5_impl(cfg, Some(ctx))
-}
-
-fn fig5_impl(cfg: &HarnessConfig, mut ctx: Option<&mut ObserveCtx<'_>>) -> Vec<BeamRow> {
+pub fn fig5(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<BeamRow> {
     let (kepler, volta) = devices();
+    let (volta_off, volta_on) = volta_fig5_sets(cfg.scale);
+    let sets = [
+        ("Kepler", &kepler, false, kepler_ecc_off_set(cfg.scale)),
+        ("Kepler", &kepler, true, kepler_suite(CodeGen::Cuda10, cfg.scale)),
+        ("Volta", &volta, false, volta_off),
+        ("Volta", &volta, true, volta_on),
+    ];
     let mut rows = Vec::new();
-    for w in kepler_ecc_off_set(cfg.scale) {
-        rows.push(beam_row("Kepler", &w, &kepler, false, cfg, ctx.as_deref_mut()));
-    }
-    for w in kepler_suite(CodeGen::Cuda10, cfg.scale) {
-        rows.push(beam_row("Kepler", &w, &kepler, true, cfg, ctx.as_deref_mut()));
-    }
-    let (off, on) = volta_fig5_sets(cfg.scale);
-    for w in off {
-        rows.push(beam_row("Volta", &w, &volta, false, cfg, ctx.as_deref_mut()));
-    }
-    for w in on {
-        rows.push(beam_row("Volta", &w, &volta, true, cfg, ctx.as_deref_mut()));
+    for (device, dm, ecc, suite) in sets {
+        for w in suite {
+            let label = format!("fig5/{device}/{}/{}", ecc_label(ecc), w.name);
+            let res = ctx.run(&label, Beam::auto(ecc), &w, dm, &cfg.beam);
+            rows.push(BeamRow {
+                device,
+                name: w.name.clone(),
+                ecc,
+                sdc_fit: res.sdc_fit.fit,
+                due_fit: res.due_fit.fit,
+                sdc_errors: res.counts.sdc,
+                due_errors: res.counts.due,
+            });
+        }
     }
     rows
+}
+
+/// `ecc-on` / `ecc-off`, the ECC segment of campaign labels.
+fn ecc_label(ecc: bool) -> &'static str {
+    if ecc {
+        "ecc-on"
+    } else {
+        "ecc-off"
+    }
 }
 
 // ------------------------------------------------------------ Figure 6 --
@@ -720,23 +623,12 @@ impl AvfBank {
 
 /// Regenerate Figure 6 (and the Section VII-B DUE analysis): beam-measured
 /// vs predicted SDC FIT for every code, ECC off and on, both devices.
-pub fn fig6(cfg: &HarnessConfig) -> ComparisonSet {
+///
+/// The AVF and beam campaigns are Figure 4's and Figure 5's (same kinds,
+/// targets and budgets), so with a checkpoint store shared across the
+/// run they resume as finished instead of running again.
+pub fn fig6(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> ComparisonSet {
     let (kepler, volta) = devices();
-    let measure_avf = |injector: Injector, w: &Workload, dm: &DeviceModel| {
-        injector.supports(w, dm)?;
-        Ok::<AvfResult, injector::Unsupported>(
-            Campaign::new(Avf::new(injector), w, dm)
-                .budget(cfg.injection.clone())
-                .run()
-                .expect("injection campaign failed"),
-        )
-    };
-    let expose = |w: &Workload, dm: &DeviceModel, ecc: bool| {
-        Campaign::new(Beam::auto(ecc), w, dm)
-            .budget(cfg.beam.clone())
-            .run()
-            .expect("beam campaign failed")
-    };
     let char_cfg =
         CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
 
@@ -752,26 +644,21 @@ pub fn fig6(cfg: &HarnessConfig) -> ComparisonSet {
         volta_nvbitfi: Vec::new(),
     };
     for w in kepler_suite(CodeGen::Cuda7, cfg.scale) {
-        if let Ok(r) = measure_avf(Injector::Sassifi, &w, &kepler) {
-            bank.kepler_sassifi.push(r);
-        }
+        let label = format!("fig6/Kepler/SASSIFI/{}", w.name);
+        bank.kepler_sassifi.extend(ctx.avf(&label, Injector::Sassifi, &w, &kepler, &cfg.injection));
     }
     for w in kepler_suite(CodeGen::Cuda10, cfg.scale) {
-        if let Ok(r) = measure_avf(Injector::NvBitFi, &w, &kepler) {
-            bank.kepler_nvbitfi.push(r);
-        }
+        let label = format!("fig6/Kepler/NVBitFI/{}", w.name);
+        bank.kepler_nvbitfi.extend(ctx.avf(&label, Injector::NvBitFi, &w, &kepler, &cfg.injection));
     }
     // Volta AVFs: every (benchmark, precision) the Volta comparisons need,
     // plus single-precision variants of the Kepler proprietary codes.
+    // Half-precision codes are skipped: predictions use the float sibling.
     let mut volta_avf_targets = volta_suite(cfg.scale);
     volta_avf_targets.push(build(Benchmark::Yolov2, Precision::Single, CodeGen::Cuda10, cfg.scale));
-    for w in &volta_avf_targets {
-        if w.precision == Precision::Half {
-            continue; // predictions use the float sibling
-        }
-        if let Ok(r) = measure_avf(Injector::NvBitFi, w, &volta) {
-            bank.volta_nvbitfi.push(r);
-        }
+    for w in volta_avf_targets.iter().filter(|w| w.precision != Precision::Half) {
+        let label = format!("fig6/Volta/NVBitFI/{}", w.name);
+        bank.volta_nvbitfi.extend(ctx.avf(&label, Injector::NvBitFi, w, &volta, &cfg.injection));
     }
 
     // 3. Per-code comparisons.
@@ -784,7 +671,8 @@ pub fn fig6(cfg: &HarnessConfig) -> ComparisonSet {
         for w in &set {
             let prof = profile(w, &kepler);
             let feet = memory_footprint(w, &kepler, &prof);
-            let measured = expose(w, &kepler, ecc);
+            let label = format!("fig6/Kepler/{}/{}", ecc_label(ecc), w.name);
+            let measured = ctx.run(&label, Beam::auto(ecc), w, &kepler, &cfg.beam);
             for injector in [Injector::Sassifi, Injector::NvBitFi] {
                 let Some(avf) = bank.kepler(&w.name, injector) else { continue };
                 let pred = predict(
@@ -811,7 +699,8 @@ pub fn fig6(cfg: &HarnessConfig) -> ComparisonSet {
         for w in &set {
             let prof = profile(w, &volta);
             let feet = memory_footprint(w, &volta, &prof);
-            let measured = expose(w, &volta, ecc);
+            let label = format!("fig6/Volta/{}/{}", ecc_label(ecc), w.name);
+            let measured = ctx.run(&label, Beam::auto(ecc), w, &volta, &cfg.beam);
             let Some(avf) = bank.volta(w) else { continue };
             let pred =
                 predict(&prof, avf, &volta_units, &feet, &PredictOptions { ecc, use_phi: true });
@@ -958,7 +847,7 @@ fn coverage_ladder() -> [HiddenCoverage; 4] {
 /// rates come from [`beam::characterize_hidden`] (a simulated calibration
 /// experiment, not the ground-truth cross-sections) and the per-class
 /// P(DUE | strike) from [`injector::measure_hidden_breakdown`] campaigns.
-pub fn hidden_gap_closure(cfg: &HarnessConfig) -> GapClosure {
+pub fn hidden_gap_closure(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> GapClosure {
     let (_, volta) = devices();
     let char_cfg =
         CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
@@ -971,14 +860,10 @@ pub fn hidden_gap_closure(cfg: &HarnessConfig) -> GapClosure {
         let w = build(bench, Precision::Single, CodeGen::Cuda10, cfg.scale);
         let prof = profile(&w, &volta);
         let feet = memory_footprint(&w, &volta, &prof);
-        let avf = Campaign::new(Avf::new(Injector::NvBitFi), &w, &volta)
-            .budget(cfg.injection.clone())
-            .run()
-            .expect("injection campaign failed");
-        let measured = Campaign::new(Beam::auto(true), &w, &volta)
-            .budget(cfg.beam.clone())
-            .run()
-            .expect("beam campaign failed");
+        let label = format!("gap/Volta/NVBitFI/{}", w.name);
+        let avf = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &volta, &cfg.injection);
+        let label = format!("gap/Volta/ecc-on/{}", w.name);
+        let measured = ctx.run(&label, Beam::auto(true), &w, &volta, &cfg.beam);
         let breakdown = injector::measure_hidden_breakdown(&w, &volta, &cfg.injection);
         let base =
             predict(&prof, &avf, &units, &feet, &PredictOptions { ecc: true, use_phi: true });
@@ -1084,16 +969,10 @@ fn device_suite() -> [Benchmark; 3] {
 /// follows the spec's tooling capability (SASSIFI where supported,
 /// NVBitFI otherwise), and beam campaigns run only the ECC states the
 /// board can actually be put in.
-pub fn device_pipeline(spec: &DeviceSpec, cfg: &HarnessConfig) -> DeviceReport {
-    device_pipeline_observed(spec, cfg, None)
-}
-
-/// [`device_pipeline`] with the observation hooks of the other
-/// `*_observed` experiments.
-pub fn device_pipeline_observed(
+pub fn device_pipeline(
     spec: &DeviceSpec,
     cfg: &HarnessConfig,
-    mut ctx: Option<&mut ObserveCtx<'_>>,
+    ctx: &mut ObserveCtx<'_>,
 ) -> DeviceReport {
     // Campaigns run the derived single-SM variant (see DESIGN.md on
     // SM-count scaling); the report carries the full board's identity.
@@ -1111,26 +990,15 @@ pub fn device_pipeline_observed(
         let w = build_with(bench, Precision::Single, &codegen, cfg.scale);
         let prof = profile(&w, &device);
         let feet = memory_footprint(&w, &device, &prof);
-        let avf = observed_avf(
-            &format!("device/{}/{}", spec.id, w.name),
-            injector_kind,
-            &w,
-            &device,
-            &cfg.injection,
-            ctx.as_deref_mut(),
-        )
-        .expect("spec-selected injector rejected its own device");
+        let label = format!("device/{}/{}", spec.id, w.name);
+        let avf = ctx
+            .avf(&label, injector_kind, &w, &device, &cfg.injection)
+            .expect("spec-selected injector rejected its own device");
         let breakdown = injector::measure_hidden_breakdown(&w, &device, &cfg.injection);
         let term = predict_hidden(&prof, &rates, &breakdown, HiddenCoverage::full());
         for &ecc in ecc_states {
-            let measured = observed_beam(
-                &format!("device/{}/{}/ecc-{}", spec.id, w.name, if ecc { "on" } else { "off" }),
-                &w,
-                &device,
-                ecc,
-                &cfg.beam,
-                ctx.as_deref_mut(),
-            );
+            let label = format!("device/{}/{}/{}", spec.id, w.name, ecc_label(ecc));
+            let measured = ctx.run(&label, Beam::auto(ecc), &w, &device, &cfg.beam);
             let pred = predict(&prof, &avf, &units, &feet, &PredictOptions { ecc, use_phi: true })
                 .with_hidden(&term);
             rows.push(DeviceRow {
@@ -1174,14 +1042,8 @@ pub struct CodegenRow {
 /// same codes with the *same* injector (NVBitFI) on both codegen levels.
 /// Optimized code executes fewer, more "useful" instructions, raising
 /// the probability that a corrupted value reaches the output.
-pub fn codegen_comparison(cfg: &HarnessConfig) -> Vec<CodegenRow> {
+pub fn codegen_comparison(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<CodegenRow> {
     let (kepler, _) = devices();
-    let avf = |w: &Workload| {
-        Campaign::new(Avf::new(Injector::NvBitFi), w, &kepler)
-            .budget(cfg.injection.clone())
-            .run()
-            .expect("injection campaign failed")
-    };
     let mut rows = Vec::new();
     for bench in [
         Benchmark::Mxm,
@@ -1196,8 +1058,11 @@ pub fn codegen_comparison(cfg: &HarnessConfig) -> Vec<CodegenRow> {
         let precision = if bench.is_integer() { Precision::Int32 } else { Precision::Single };
         let w7 = build(bench, precision, CodeGen::Cuda7, cfg.scale);
         let w10 = build(bench, precision, CodeGen::Cuda10, cfg.scale);
-        let a7 = avf(&w7);
-        let a10 = avf(&w10);
+        let nvbitfi = Avf::new(Injector::NvBitFi);
+        let label = format!("codegen/cuda7/{}", w7.name);
+        let a7 = ctx.run(&label, nvbitfi, &w7, &kepler, &cfg.injection);
+        let label = format!("codegen/cuda10/{}", w10.name);
+        let a10 = ctx.run(&label, nvbitfi, &w10, &kepler, &cfg.injection);
         let g7 = w7.execute_golden(&kepler);
         let g10 = w10.execute_golden(&kepler);
         rows.push(CodegenRow {
@@ -1227,16 +1092,19 @@ pub struct ConvergenceRow {
 /// How the AVF estimate converges with campaign size — the paper sizes
 /// campaigns so that "95% confidence intervals \[are\] lower than 5%"
 /// (Section III-D).
-pub fn convergence(cfg: &HarnessConfig, benchmark: Benchmark) -> Vec<ConvergenceRow> {
+pub fn convergence(
+    cfg: &HarnessConfig,
+    benchmark: Benchmark,
+    ctx: &mut ObserveCtx<'_>,
+) -> Vec<ConvergenceRow> {
     let (kepler, _) = devices();
     let precision = if benchmark.is_integer() { Precision::Int32 } else { Precision::Single };
     let w = build(benchmark, precision, CodeGen::Cuda10, cfg.scale);
     let mut rows = Vec::new();
     for n in [100u32, 250, 500, 1000, 2000, 4000] {
-        let r = Campaign::new(Avf::new(Injector::NvBitFi), &w, &kepler)
-            .budget(Budget::fixed(n).seed(cfg.injection.seed))
-            .run()
-            .expect("injection campaign failed");
+        let label = format!("convergence/{}/{n}", w.name);
+        let budget = Budget::fixed(n).seed(cfg.injection.seed);
+        let r = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, &budget);
         rows.push(ConvergenceRow {
             injections: n,
             sdc_avf: r.sdc_avf(),
@@ -1265,7 +1133,11 @@ pub struct BreakdownRow {
 }
 
 /// Measure per-class AVFs for a representative code set.
-pub fn avf_breakdown(cfg: &HarnessConfig) -> Vec<BreakdownRow> {
+///
+/// The per-class campaigns run inside
+/// [`injector::measure_avf_breakdown`], outside `ctx`: this experiment
+/// emits no observations.
+pub fn avf_breakdown(cfg: &HarnessConfig, _ctx: &mut ObserveCtx<'_>) -> Vec<BreakdownRow> {
     use gpu_sim::SiteClass;
     let (kepler, _) = devices();
     let label = |c: SiteClass| match c {

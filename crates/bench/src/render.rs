@@ -2,7 +2,7 @@
 //! paper's tables and figures report.
 
 use crate::experiments::{
-    AvfRow, BeamRow, ComparisonSet, DeviceReport, DueSummary, Fig3Row, MixRow, ProfileRow,
+    AvfRow, BeamRow, ComparisonSet, DeviceReport, DueSummary, Fig3Row, ProfileRow,
 };
 use gpu_arch::{DeviceSummary, MixCategory};
 use injector::Injector;
@@ -33,8 +33,8 @@ pub fn table1(rows: &[ProfileRow]) -> String {
     out
 }
 
-/// Render Figure 1 (instruction mix percentages).
-pub fn fig1(rows: &[MixRow]) -> String {
+/// Render Figure 1 (instruction mix percentages) from Table I's rows.
+pub fn fig1(rows: &[ProfileRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 1: Instruction type per code (percent)");
     let _ = writeln!(out, "{:-<100}", "");
@@ -45,7 +45,7 @@ pub fn fig1(rows: &[MixRow]) -> String {
     let _ = writeln!(out);
     for r in rows {
         let _ = write!(out, "{:<8} {:<12}", r.device, r.name);
-        for f in r.fractions {
+        for f in r.mix_fractions {
             let _ = write!(out, " {:>6.1}%", f * 100.0);
         }
         let _ = writeln!(out);

@@ -8,7 +8,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use bench::{hidden_gap_closure, Budget, GapClosure, HarnessConfig};
+use bench::{hidden_gap_closure, Budget, GapClosure, HarnessConfig, ObserveCtx};
 use workloads::Scale;
 
 fn micro() -> HarnessConfig {
@@ -31,7 +31,11 @@ fn write_artifact(set: &GapClosure) {
 
 #[test]
 fn due_gap_closes_monotonically_with_hidden_coverage() {
-    let set = hidden_gap_closure(&micro());
+    let mut campaigns = 0;
+    let set = hidden_gap_closure(&micro(), &mut ObserveCtx::new(&mut |_| campaigns += 1));
+    // Two codes, one AVF and one beam campaign each; the calibration and
+    // breakdown campaigns run outside the context.
+    assert_eq!(campaigns, 4);
     write_artifact(&set);
 
     let codes = set.codes();

@@ -2,14 +2,16 @@
 //! [`obs::RunReport`] and parsed back with [`obs::json`].
 //!
 //! A checkpoint captures everything the engine needs to resume at a
-//! shard boundary: the campaign identity (label + seed + shard size),
-//! how many shards are folded in, and the accumulated outcome tallies.
+//! shard boundary: the campaign identity ([`CampaignKey`]: label, target
+//! digest and every tally-affecting budget field), how many shards are
+//! folded in, and the accumulated outcome tallies.
 //! Because every shard owns a self-contained RNG stream, resuming from a
 //! checkpoint and running to the end is bit-identical to an uninterrupted
 //! campaign. Site-class and DUE-kind observability tallies are *not*
 //! checkpointed — they live in the caller's [`obs::MetricsRegistry`] and
 //! only cover the shards run in the current process.
 
+use crate::budget::Budget;
 use obs::json::{self, Json};
 use obs::RunReport;
 use stats::OutcomeCounts;
@@ -18,15 +20,74 @@ use std::collections::BTreeMap;
 /// The JSONL `"report"` tag of a checkpoint line.
 pub const CHECKPOINT_REPORT_KIND: &str = "campaign.checkpoint";
 
-/// A resumable campaign snapshot at a shard boundary.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// Campaign identity: `kind/device/target`.
+/// Everything that fixes a campaign's tallies. Two campaigns with equal
+/// keys draw the same trials and fold them the same way, so one may
+/// resume from the other's checkpoint; any field that differs makes them
+/// different campaigns.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CampaignKey {
+    /// Campaign label: `kind/device/target`.
     pub label: String,
-    /// Budget seed the shards were keyed with.
+    /// Digest of the target identity the golden cache keys on (name,
+    /// kernel length, launch geometry, memory size): tells apart
+    /// same-named builds (e.g. the CUDA 7 and CUDA 10 FMXM).
+    pub target: u64,
+    /// Budget seed the shards are keyed with.
     pub seed: u64,
-    /// Shard size of the partition (part of the determinism contract).
+    /// Shard size of the partition.
     pub shard_size: u32,
+    /// Budget floor (trials before the stop rule may fire).
+    pub floor: u32,
+    /// Budget ceiling.
+    pub ceiling: u32,
+    /// Wilson CI half-width stop target (`None`: fixed budget).
+    pub ci_half_width: Option<f64>,
+    /// Watchdog dynamic-instruction factor.
+    pub dyn_factor: u64,
+    /// Watchdog dynamic-instruction slack.
+    pub dyn_slack: u64,
+}
+
+impl CampaignKey {
+    /// The key of a campaign labeled `label` over a target with digest
+    /// `target`, run under `budget`.
+    pub(crate) fn new(label: String, target: u64, budget: &Budget) -> CampaignKey {
+        CampaignKey {
+            label,
+            target,
+            seed: budget.seed,
+            shard_size: budget.shard_size,
+            floor: budget.floor,
+            ceiling: budget.ceiling,
+            ci_half_width: budget.ci_half_width,
+            dyn_factor: budget.watchdog.dyn_factor,
+            dyn_slack: budget.watchdog.dyn_slack,
+        }
+    }
+
+    /// A stable one-line rendering of every field, the store's pointer
+    /// file name is derived from.
+    pub(crate) fn canonical(&self) -> String {
+        let ci = self.ci_half_width.map_or_else(|| "none".to_string(), |c| format!("{c:?}"));
+        format!(
+            "{} target={:016x} seed={} shard={} floor={} ceiling={} ci={ci} dyn={}x+{}",
+            self.label,
+            self.target,
+            self.seed,
+            self.shard_size,
+            self.floor,
+            self.ceiling,
+            self.dyn_factor,
+            self.dyn_slack
+        )
+    }
+}
+
+/// A resumable campaign snapshot at a shard boundary.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Checkpoint {
+    /// Campaign identity.
+    pub key: CampaignKey,
     /// Shards folded in so far; the next shard to run.
     pub shards_done: u32,
     /// Trials accounted so far.
@@ -41,11 +102,21 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serialize as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
+        let key = &self.key;
         let mut r = RunReport::new(CHECKPOINT_REPORT_KIND);
-        r.push_str("label", &self.label)
-            .push_uint("seed", self.seed)
-            .push_uint("shard_size", self.shard_size as u64)
-            .push_uint("shards_done", self.shards_done as u64)
+        r.push_str("label", &key.label)
+            .push_str("target", &format!("{:016x}", key.target))
+            // A string: JSON numbers are f64 and would round seeds past 2^53.
+            .push_str("seed", &key.seed.to_string())
+            .push_uint("shard_size", key.shard_size as u64)
+            .push_uint("floor", key.floor as u64)
+            .push_uint("ceiling", key.ceiling as u64)
+            .push_uint("dyn_factor", key.dyn_factor)
+            .push_uint("dyn_slack", key.dyn_slack);
+        if let Some(ci) = key.ci_half_width {
+            r.push_float("ci_half_width", ci);
+        }
+        r.push_uint("shards_done", self.shards_done as u64)
             .push_uint("trials", self.trials)
             .push_uint("sdc", self.counts.sdc)
             .push_uint("due", self.counts.due)
@@ -97,10 +168,28 @@ impl Checkpoint {
                 other => return Err(format!("unknown outcome {other:?} in {key:?}")),
             }
         }
+        let target = str_field("target")?;
+        let ci_half_width = match obj.get("ci_half_width") {
+            None => None,
+            Some(v) => Some(
+                v.as_num()
+                    .filter(|c| c.is_finite() && *c >= 0.0)
+                    .ok_or("checkpoint has a non-numeric ci_half_width")?,
+            ),
+        };
         let cp = Checkpoint {
-            label: str_field("label")?,
-            seed: uint_field("seed")?,
-            shard_size: uint_field("shard_size")? as u32,
+            key: CampaignKey {
+                label: str_field("label")?,
+                target: u64::from_str_radix(&target, 16)
+                    .map_err(|e| format!("bad target digest {target:?}: {e}"))?,
+                seed: str_field("seed")?.parse().map_err(|e| format!("bad seed: {e}"))?,
+                shard_size: uint_field("shard_size")? as u32,
+                floor: uint_field("floor")? as u32,
+                ceiling: uint_field("ceiling")? as u32,
+                ci_half_width,
+                dyn_factor: uint_field("dyn_factor")?,
+                dyn_slack: uint_field("dyn_slack")?,
+            },
             shards_done: uint_field("shards_done")? as u32,
             trials: uint_field("trials")?,
             counts: OutcomeCounts {
@@ -121,21 +210,21 @@ impl Checkpoint {
     }
 
     /// Scan a JSONL stream (e.g. a checkpoint file) and return the last
-    /// checkpoint for `label`, ignoring non-checkpoint lines.
+    /// checkpoint for `key`, ignoring non-checkpoint lines.
     ///
     /// This keeps only the answer; corrupt lines are indistinguishable
     /// from absent ones. Recovery paths that need to warn (instead of
     /// silently restarting from zero) should use [`Checkpoint::scan_stream`].
-    pub fn last_in_stream(text: &str, label: &str) -> Option<Checkpoint> {
-        Checkpoint::scan_stream(text, label).checkpoint
+    pub fn last_in_stream(text: &str, key: &CampaignKey) -> Option<Checkpoint> {
+        Checkpoint::scan_stream(text, key).checkpoint
     }
 
-    /// Scan a JSONL stream for the last checkpoint for `label`, reporting
-    /// what was seen along the way.
+    /// Scan a JSONL stream for the last checkpoint whose key equals `key`
+    /// in every field, reporting what was seen along the way.
     ///
     /// Three kinds of line are distinguished:
     ///
-    /// * a parseable checkpoint — the last one whose label matches wins;
+    /// * a parseable checkpoint — the last one whose key matches wins;
     /// * a *foreign* line — valid JSON that is not a
     ///   `campaign.checkpoint` report (progress lines, run reports);
     ///   these are expected in shared streams and are not counted as
@@ -145,7 +234,7 @@ impl Checkpoint {
     ///   write, inconsistent tallies). These are tolerated — the scan
     ///   falls back to the previous parseable checkpoint — but counted,
     ///   so recovery can warn that history was lost.
-    pub fn scan_stream(text: &str, label: &str) -> StreamScan {
+    pub fn scan_stream(text: &str, key: &CampaignKey) -> StreamScan {
         let mut scan = StreamScan::default();
         for raw in text.lines() {
             let line = raw.trim();
@@ -168,7 +257,7 @@ impl Checkpoint {
             }
             match Checkpoint::parse(line) {
                 Ok(cp) => {
-                    if cp.label == label {
+                    if cp.key == *key {
                         scan.checkpoint = Some(cp);
                     }
                 }
@@ -181,9 +270,9 @@ impl Checkpoint {
 
 /// What [`Checkpoint::scan_stream`] saw: the recovered checkpoint (if
 /// any) plus damage diagnostics.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StreamScan {
-    /// The last parseable checkpoint whose label matched.
+    /// The last parseable checkpoint whose key matched.
     pub checkpoint: Option<Checkpoint>,
     /// Non-empty lines examined.
     pub lines_scanned: u64,
@@ -217,9 +306,11 @@ mod tests {
         direct.insert("beam.unstruck".to_string(), OutcomeCounts { sdc: 0, due: 0, masked: 70 });
         direct.insert("beam.direct".to_string(), OutcomeCounts { sdc: 1, due: 4, masked: 2 });
         Checkpoint {
-            label: "beam/ecc-on/SK40c/FMXM".to_string(),
-            seed: 2021,
-            shard_size: 32,
+            key: CampaignKey::new(
+                "beam/ecc-on/SK40c/FMXM".to_string(),
+                0xfeed_beef_0123_4567,
+                &Budget::quick(),
+            ),
             shards_done: 4,
             trials: 128,
             counts: OutcomeCounts { sdc: 11, due: 13, masked: 104 },
@@ -233,6 +324,35 @@ mod tests {
         let line = cp.to_json_line();
         assert!(line.contains("\"report\":\"campaign.checkpoint\""));
         assert_eq!(Checkpoint::parse(&line).unwrap(), cp);
+        // Fixed budgets carry no CI target; the absence round-trips too,
+        // and so do seeds past f64's exact-integer range.
+        let mut fixed = sample();
+        let budget = Budget::fixed(128).seed(0x9e37_79b9_7f4a_7c15);
+        fixed.key = CampaignKey::new(fixed.key.label.clone(), 1, &budget);
+        assert_eq!(Checkpoint::parse(&fixed.to_json_line()).unwrap(), fixed);
+    }
+
+    #[test]
+    fn scan_matches_every_key_field() {
+        let cp = sample();
+        let stream = cp.to_json_line();
+        let variants: [fn(&mut CampaignKey); 8] = [
+            |k| k.target ^= 1,
+            |k| k.seed += 1,
+            |k| k.shard_size += 1,
+            |k| k.floor += 1,
+            |k| k.ceiling += 1,
+            |k| k.ci_half_width = None,
+            |k| k.dyn_factor += 1,
+            |k| k.dyn_slack += 1,
+        ];
+        for vary in variants {
+            let mut key = cp.key.clone();
+            vary(&mut key);
+            assert_ne!(key.canonical(), cp.key.canonical());
+            assert_eq!(Checkpoint::last_in_stream(&stream, &key), None, "{key:?}");
+        }
+        assert_eq!(Checkpoint::last_in_stream(&stream, &cp.key), Some(cp));
     }
 
     #[test]
@@ -253,15 +373,17 @@ mod tests {
         early.direct.clear();
         let late = sample();
         let mut other = sample();
-        other.label = "something/else".to_string();
+        other.key.label = "something/else".to_string();
         let stream = format!(
             "{}\n{{\"report\":\"run\",\"campaigns\":3}}\n{}\n{}\n",
             early.to_json_line(),
             late.to_json_line(),
             other.to_json_line()
         );
-        assert_eq!(Checkpoint::last_in_stream(&stream, &late.label), Some(late));
-        assert_eq!(Checkpoint::last_in_stream(&stream, "missing"), None);
+        assert_eq!(Checkpoint::last_in_stream(&stream, &late.key), Some(late.clone()));
+        let mut missing = late.key.clone();
+        missing.label = "missing".to_string();
+        assert_eq!(Checkpoint::last_in_stream(&stream, &missing), None);
     }
 
     #[test]
@@ -273,7 +395,7 @@ mod tests {
             "{}\n{{\"report\":\"run\",\"campaigns\":3}}\nnot json at all\n{torn}\n",
             good.to_json_line()
         );
-        let scan = Checkpoint::scan_stream(&stream, &good.label);
+        let scan = Checkpoint::scan_stream(&stream, &good.key);
         assert_eq!(scan.checkpoint, Some(good));
         assert_eq!(scan.lines_scanned, 4);
         // The foreign-but-valid run report is not damage; the garbage
@@ -287,7 +409,7 @@ mod tests {
     fn scan_stream_rejects_inconsistent_checkpoint_lines() {
         let mut cp = sample();
         cp.trials += 1; // violates counts.total() == trials
-        let scan = Checkpoint::scan_stream(&cp.to_json_line(), &cp.label);
+        let scan = Checkpoint::scan_stream(&cp.to_json_line(), &cp.key);
         assert_eq!(scan.checkpoint, None);
         assert_eq!(scan.lines_rejected, 1);
         assert!(scan.first_error.unwrap().contains("inconsistent"));
@@ -296,7 +418,7 @@ mod tests {
     #[test]
     fn scan_stream_on_clean_stream_reports_no_damage() {
         let cp = sample();
-        let scan = Checkpoint::scan_stream(&cp.to_json_line(), &cp.label);
+        let scan = Checkpoint::scan_stream(&cp.to_json_line(), &cp.key);
         assert_eq!(scan.checkpoint, Some(cp));
         assert_eq!((scan.lines_scanned, scan.lines_rejected), (1, 0));
         assert!(!scan.damaged());

@@ -26,7 +26,7 @@
 //! worker count.
 
 use crate::budget::Budget;
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{CampaignKey, Checkpoint};
 use crate::golden;
 use crate::store::CheckpointStore;
 use crate::supervise::{panic_message, DeadlineMonitor, QuarantineRecord};
@@ -292,16 +292,18 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
     /// are appended to its quarantine journal, and — unless
     /// [`Campaign::resume_from`] was given explicitly — the campaign
     /// automatically resumes from the store's last checkpoint for this
-    /// label.
+    /// campaign's [`CampaignKey`] (label, target digest and budget).
     pub fn store(mut self, store: &'a mut CheckpointStore) -> Self {
         self.store = Some(store);
         self
     }
 
     /// Resume from a previously emitted checkpoint instead of starting at
-    /// shard 0. The checkpoint must match this campaign's label, seed and
-    /// shard size; the completed run is bit-identical to an uninterrupted
-    /// one.
+    /// shard 0. The checkpoint's [`CampaignKey`] must equal this
+    /// campaign's (label, target digest and every tally-affecting budget
+    /// field), else the run fails with
+    /// [`CampaignError::CheckpointMismatch`]; the completed run is
+    /// bit-identical to an uninterrupted one.
     pub fn resume_from(mut self, checkpoint: Checkpoint) -> Self {
         self.resume = Some(checkpoint);
         self
@@ -338,6 +340,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         }
         let sampler = self.kind.prepare(self.target, self.device, &golden);
         let label = format!("{}/{}/{}", self.kind.label(), self.device.name, self.target.name());
+        let key = CampaignKey::new(label.clone(), golden::target_digest(self.target), &self.budget);
         let shard_size = self.budget.shard_size.max(1) as u64;
         let ceiling = self.budget.effective_ceiling() as u64;
         let floor = self.budget.effective_floor() as u64;
@@ -366,8 +369,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
 
         if self.resume.is_none() {
             if let Some(store) = self.store.as_mut() {
-                self.resume =
-                    store.load(&label).map_err(|e| CampaignError::Store(e.to_string()))?;
+                self.resume = store.load(&key).map_err(|e| CampaignError::Store(e.to_string()))?;
             }
         }
 
@@ -380,16 +382,11 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         let mut next_shard = 0u32;
         let mut resumed_trials = 0u64;
         if let Some(cp) = self.resume.take() {
-            if cp.label != label {
+            if cp.key != key {
                 return Err(CampaignError::CheckpointMismatch(format!(
-                    "checkpoint is for {:?}, campaign is {:?}",
-                    cp.label, label
-                )));
-            }
-            if cp.seed != self.budget.seed || cp.shard_size != self.budget.shard_size {
-                return Err(CampaignError::CheckpointMismatch(format!(
-                    "checkpoint partition (seed {}, shard size {}) != budget (seed {}, shard size {})",
-                    cp.seed, cp.shard_size, self.budget.seed, self.budget.shard_size
+                    "checkpoint is for {}, campaign is {}",
+                    cp.key.canonical(),
+                    key.canonical()
                 )));
             }
             // A checkpoint is only resumable mid-campaign when it sits at
@@ -497,7 +494,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
                 if (boundary || since_checkpoint >= self.checkpoint_every)
                     && (self.sink.is_some() || self.store.is_some())
                 {
-                    let cp = snapshot(&label, &self.budget, next_shard, trials, counts, &direct);
+                    let cp = snapshot(&key, next_shard, trials, counts, &direct);
                     if let Some(sink) = self.sink.as_mut() {
                         sink(&cp);
                     }
@@ -520,7 +517,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         let stop = stop.unwrap_or(StopReason::Ceiling);
 
         let run = CampaignRun {
-            checkpoint: snapshot(&label, &self.budget, next_shard, trials, counts, &direct),
+            checkpoint: snapshot(&key, next_shard, trials, counts, &direct),
             label,
             counts,
             executed,
@@ -1087,22 +1084,13 @@ fn export_shard_metrics(m: &MetricsRegistry, out: &ShardOut) {
 }
 
 fn snapshot(
-    label: &str,
-    budget: &Budget,
+    key: &CampaignKey,
     shards_done: u32,
     trials: u64,
     counts: OutcomeCounts,
     direct: &BTreeMap<String, OutcomeCounts>,
 ) -> Checkpoint {
-    Checkpoint {
-        label: label.to_string(),
-        seed: budget.seed,
-        shard_size: budget.shard_size,
-        shards_done,
-        trials,
-        counts,
-        direct: direct.clone(),
-    }
+    Checkpoint { key: key.clone(), shards_done, trials, counts, direct: direct.clone() }
 }
 
 fn eval_stop(

@@ -66,15 +66,48 @@ impl GoldenRequest {
     }
 }
 
+/// A target's identity as far as its golden run is concerned: the name
+/// plus the kernel length, launch geometry and memory size (scale is
+/// implied by the sizes). Two builds sharing a name — the CUDA 7 and
+/// CUDA 10 FMXM — differ here.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct GoldenKey {
-    target: String,
-    device: String,
-    ecc: bool,
+struct TargetId {
+    name: String,
     kernel_len: usize,
     grid: u64,
     block: u64,
     memory_len: u32,
+}
+
+impl TargetId {
+    fn of<T: Target + ?Sized>(target: &T) -> TargetId {
+        let launch = target.launch();
+        TargetId {
+            name: target.name().to_string(),
+            kernel_len: target.kernel().len(),
+            grid: launch.grid.count(),
+            block: launch.block.count(),
+            memory_len: target.fresh_memory().len(),
+        }
+    }
+}
+
+/// A digest of the target identity the golden cache keys on (name,
+/// kernel length, launch geometry, memory size). Checkpoint keys carry
+/// it, so a store never hands one build's tallies to a same-named other.
+pub(crate) fn target_digest<T: Target + ?Sized>(target: &T) -> u64 {
+    let id = TargetId::of(target);
+    crate::engine::fnv1a(&format!(
+        "{}/{}/{}/{}/{}",
+        id.name, id.kernel_len, id.grid, id.block, id.memory_len
+    ))
+}
+
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct GoldenKey {
+    target: TargetId,
+    device: String,
+    ecc: bool,
     /// Whether the run carries a [`gpu_sim::SitesRecord`]. Recorded runs
     /// are a superset of plain ones, so a plain fetch may reuse a
     /// recorded entry (but not vice versa).
@@ -94,10 +127,6 @@ impl GoldenKey {
         self.target == want.target
             && self.device == want.device
             && self.ecc == want.ecc
-            && self.kernel_len == want.kernel_len
-            && self.grid == want.grid
-            && self.block == want.block
-            && self.memory_len == want.memory_len
             && (self.recorded || !want.recorded)
             && (want.snapshot_stride == 0 || self.snapshot_stride == want.snapshot_stride)
     }
@@ -116,15 +145,10 @@ fn cache() -> &'static Mutex<GoldenCache> {
 }
 
 fn key<T: Target + ?Sized>(target: &T, device: &DeviceModel, req: GoldenRequest) -> GoldenKey {
-    let launch = target.launch();
     GoldenKey {
-        target: target.name().to_string(),
+        target: TargetId::of(target),
         device: device.name.clone(),
         ecc: req.ecc,
-        kernel_len: target.kernel().len(),
-        grid: launch.grid.count(),
-        block: launch.block.count(),
-        memory_len: target.fresh_memory().len(),
         recorded: req.record_sites,
         snapshot_stride: req.snapshot_stride,
     }
@@ -185,37 +209,6 @@ pub fn fetch<T: Target + ?Sized>(
     Ok((golden, false))
 }
 
-/// Deprecated plain-golden forwarder; use [`fetch`] with a
-/// [`GoldenRequest`].
-///
-/// # Errors
-/// Same contract as [`fetch`].
-#[deprecated(since = "0.8.0", note = "use golden::fetch(target, device, GoldenRequest::new(ecc))")]
-pub fn fetch_plain<T: Target + ?Sized>(
-    target: &T,
-    device: &DeviceModel,
-    ecc: bool,
-) -> Result<(Arc<Executed>, bool), String> {
-    fetch(target, device, GoldenRequest::new(ecc))
-}
-
-/// Deprecated recorded-golden forwarder; use [`fetch`] with
-/// [`GoldenRequest::record_sites`].
-///
-/// # Errors
-/// Same contract as [`fetch`].
-#[deprecated(
-    since = "0.8.0",
-    note = "use golden::fetch(target, device, GoldenRequest::new(ecc).record_sites(true))"
-)]
-pub fn fetch_recorded<T: Target + ?Sized>(
-    target: &T,
-    device: &DeviceModel,
-    ecc: bool,
-) -> Result<(Arc<Executed>, bool), String> {
-    fetch(target, device, GoldenRequest::new(ecc).record_sites(true))
-}
-
 /// One line per cached golden run: target, device, extras, and the size
 /// of any snapshot set — the CI snapshot-cache size report.
 pub fn cache_report() -> String {
@@ -228,7 +221,7 @@ pub fn cache_report() -> String {
         let _ = writeln!(
             out,
             "  {} on {} ecc={} recorded={} stride={} snapshots={} ({} KiB)",
-            k.target,
+            k.target.name,
             k.device,
             k.ecc,
             k.recorded,
@@ -274,11 +267,6 @@ mod tests {
         let (plain, hit_plain) = fetch(&target, &device, GoldenRequest::new(false)).unwrap();
         assert!(hit_plain);
         assert!(Arc::ptr_eq(&rec, &plain));
-        // The deprecated forwarders stay routed through the same cache.
-        #[allow(deprecated)]
-        let (fwd, hit_fwd) = fetch_recorded(&target, &device, false).unwrap();
-        assert!(hit_fwd);
-        assert!(Arc::ptr_eq(&rec, &fwd));
     }
 
     #[test]

@@ -65,7 +65,7 @@ mod store;
 mod supervise;
 
 pub use budget::{Budget, SnapshotPolicy, Watchdog};
-pub use checkpoint::{Checkpoint, StreamScan, CHECKPOINT_REPORT_KIND};
+pub use checkpoint::{CampaignKey, Checkpoint, StreamScan, CHECKPOINT_REPORT_KIND};
 pub use engine::{
     Campaign, CampaignError, CampaignRun, Kind, Sampler, StopReason, TrialPlan, QUARANTINE_LABEL,
 };

@@ -9,8 +9,8 @@
 //! * **Append-only history** — every checkpoint is appended to
 //!   `history.jsonl` and fsynced, so the full campaign trajectory
 //!   survives for audit.
-//! * **Atomic latest pointer** — the most recent checkpoint per campaign
-//!   label is also written to `latest-<hash>.json` via the classic
+//! * **Atomic latest pointer** — the most recent checkpoint per
+//!   [`CampaignKey`] is also written to `latest-<hash>.json` via the classic
 //!   temp-file → fsync → rename dance; a reader never observes a partial
 //!   file, no matter where the writer was killed.
 //! * **Tolerant recovery** — [`CheckpointStore::load`] falls back from a
@@ -29,7 +29,7 @@
 //! Quarantined trials (see [`crate::QuarantineRecord`]) are appended to
 //! `quarantine.jsonl` in the same directory for offline reproduction.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{CampaignKey, Checkpoint};
 use crate::supervise::QuarantineRecord;
 use std::fmt;
 use std::io::{self, ErrorKind};
@@ -247,8 +247,8 @@ impl CheckpointStore {
         self.dir.join("history.jsonl")
     }
 
-    fn latest_path(&self, label: &str) -> PathBuf {
-        self.dir.join(format!("latest-{:016x}.json", crate::engine::fnv1a(label)))
+    fn latest_path(&self, key: &CampaignKey) -> PathBuf {
+        self.dir.join(format!("latest-{:016x}.json", crate::engine::fnv1a(&key.canonical())))
     }
 
     fn quarantine_path(&self) -> PathBuf {
@@ -256,7 +256,7 @@ impl CheckpointStore {
     }
 
     /// Durably record a checkpoint: append to the history (fsync), then
-    /// atomically replace the label's latest pointer.
+    /// atomically replace the key's latest pointer.
     ///
     /// # Errors
     /// [`StoreError::Io`] when a write still fails after the bounded
@@ -267,7 +267,7 @@ impl CheckpointStore {
         with_retry(self.io.as_mut(), "append checkpoint", &history, |io| {
             io.append_sync(&history, line.as_bytes())
         })?;
-        let latest = self.latest_path(&cp.label);
+        let latest = self.latest_path(&cp.key);
         let tmp = latest.with_extension("json.tmp");
         with_retry(self.io.as_mut(), "write latest checkpoint", &tmp, |io| {
             io.write_sync(&tmp, line.as_bytes())?;
@@ -276,22 +276,22 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Recover the most recent checkpoint for `label`, or `None` when
-    /// the store has never seen this campaign.
+    /// Recover the most recent checkpoint whose key equals `key` in every
+    /// field, or `None` when the store has never seen this campaign.
     ///
     /// The latest pointer is tried first; if it is missing or damaged,
-    /// the full history is scanned (tolerating a truncated or corrupt
-    /// tail). Anything skipped is reported through
-    /// [`CheckpointStore::warnings`].
+    /// the full history is scanned with the same full-key match
+    /// (tolerating a truncated or corrupt tail). Anything skipped is
+    /// reported through [`CheckpointStore::warnings`].
     ///
     /// # Errors
     /// [`StoreError::Io`] only for real I/O failures — damage is a
     /// warning, not an error.
-    pub fn load(&mut self, label: &str) -> Result<Option<Checkpoint>, StoreError> {
-        let latest = self.latest_path(label);
+    pub fn load(&mut self, key: &CampaignKey) -> Result<Option<Checkpoint>, StoreError> {
+        let latest = self.latest_path(key);
         match self.io.read_to_string(&latest) {
             Ok(text) => {
-                let scan = Checkpoint::scan_stream(&text, label);
+                let scan = Checkpoint::scan_stream(&text, key);
                 if let Some(cp) = scan.checkpoint {
                     return Ok(Some(cp));
                 }
@@ -315,7 +315,7 @@ impl CheckpointStore {
                 return Err(StoreError::Io { op: "read history", path: history, source });
             }
         };
-        let scan = Checkpoint::scan_stream(&text, label);
+        let scan = Checkpoint::scan_stream(&text, key);
         if scan.damaged() {
             self.warnings.push(format!(
                 "history {}: discarded {} of {} lines ({})",
@@ -513,12 +513,14 @@ mod tests {
         }
     }
 
+    fn key(label: &str) -> CampaignKey {
+        CampaignKey::new(label.to_string(), 0, &crate::Budget::fixed(320).seed(7))
+    }
+
     fn checkpoint(label: &str, shards: u32) -> Checkpoint {
         let trials = shards as u64 * 32;
         Checkpoint {
-            label: label.to_string(),
-            seed: 7,
-            shard_size: 32,
+            key: key(label),
             shards_done: shards,
             trials,
             counts: OutcomeCounts { sdc: 1, due: 1, masked: trials - 2 },
@@ -538,8 +540,8 @@ mod tests {
         let (mut store, _io) = open_mem();
         let cp = checkpoint("a/b/c", 3);
         store.save(&cp).unwrap();
-        assert_eq!(store.load("a/b/c").unwrap(), Some(cp));
-        assert_eq!(store.load("other").unwrap(), None);
+        assert_eq!(store.load(&key("a/b/c")).unwrap(), Some(cp));
+        assert_eq!(store.load(&key("other")).unwrap(), None);
         assert!(store.warnings().is_empty());
     }
 
@@ -561,7 +563,7 @@ mod tests {
         let (mut store, io) = open_mem();
         io.inject("write", vec![ErrorKind::Interrupted.into()]);
         store.save(&checkpoint("a", 1)).unwrap();
-        assert_eq!(store.load("a").unwrap(), Some(checkpoint("a", 1)));
+        assert_eq!(store.load(&key("a")).unwrap(), Some(checkpoint("a", 1)));
     }
 
     #[test]
@@ -598,9 +600,12 @@ mod tests {
         assert_eq!(states.len(), 3);
         for state in states {
             let text = String::from_utf8(state).unwrap();
-            assert!(Checkpoint::scan_stream(&text, "a").checkpoint.is_some(), "torn: {text:?}");
+            assert!(
+                Checkpoint::scan_stream(&text, &key("a")).checkpoint.is_some(),
+                "torn: {text:?}"
+            );
         }
-        assert_eq!(store.load("a").unwrap(), Some(checkpoint("a", 3)));
+        assert_eq!(store.load(&key("a")).unwrap(), Some(checkpoint("a", 3)));
     }
 
     #[test]
@@ -610,12 +615,29 @@ mod tests {
         store.save(&checkpoint("a", 2)).unwrap();
         // Corrupt the latest pointer the way a crash mid-page-flush
         // does: truncate it.
-        let latest = store.latest_path("a");
+        let latest = store.latest_path(&key("a"));
         let mut bytes = io.contents(&latest).unwrap();
         bytes.truncate(bytes.len() / 2);
         io.0.borrow_mut().files.insert(latest, bytes);
-        assert_eq!(store.load("a").unwrap(), Some(checkpoint("a", 2)));
+        assert_eq!(store.load(&key("a")).unwrap(), Some(checkpoint("a", 2)));
         assert!(store.warnings().iter().any(|w| w.contains("damaged")), "{:?}", store.warnings());
+    }
+
+    #[test]
+    fn history_fallback_matches_the_full_key() {
+        let (mut store, io) = open_mem();
+        // Same label, different ceiling: a different campaign, saved last.
+        let mine = checkpoint("a", 2);
+        let mut other = checkpoint("a", 3);
+        other.key.ceiling = 100;
+        store.save(&mine).unwrap();
+        store.save(&other).unwrap();
+        // Tear this campaign's latest pointer: recovery scans the history
+        // and must skip the same-label checkpoint of the other budget.
+        let latest = store.latest_path(&mine.key);
+        io.0.borrow_mut().files.insert(latest, b"{\"report\":\"campaign.chec".to_vec());
+        assert_eq!(store.load(&mine.key).unwrap(), Some(mine));
+        assert_eq!(store.load(&other.key).unwrap(), Some(other));
     }
 
     #[test]
@@ -631,8 +653,8 @@ mod tests {
             .get_mut(&history)
             .unwrap()
             .extend_from_slice(&torn.as_bytes()[..torn.len() / 2]);
-        io.0.borrow_mut().files.remove(&store.latest_path("a"));
-        assert_eq!(store.load("a").unwrap(), Some(checkpoint("a", 1)));
+        io.0.borrow_mut().files.remove(&store.latest_path(&key("a")));
+        assert_eq!(store.load(&key("a")).unwrap(), Some(checkpoint("a", 1)));
         assert!(store.warnings().iter().any(|w| w.contains("discarded 1 of 2")));
     }
 

@@ -292,6 +292,49 @@ fn store_resume_is_a_noop_on_a_finished_campaign() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn store_never_serves_a_different_budget_of_the_same_label() {
+    let device = DeviceModel::named("k40c-sim");
+    let target = microbench::arith(gpu_arch::FunctionalUnit::Iadd);
+    let small = Budget::fixed(100).seed(11);
+    let alone = Campaign::new(Coin, &target, &device)
+        .budget(small.clone())
+        .run_full()
+        .expect("storeless run")
+        .1;
+    let dir = scratch_dir("budget-key");
+    let mut store = CheckpointStore::open(&dir).expect("open store");
+
+    // A larger campaign of the same label fills the store first.
+    let big = Campaign::new(Coin, &target, &device)
+        .budget(Budget::fixed(320).seed(11))
+        .store(&mut store)
+        .run_full()
+        .expect("large run")
+        .1;
+    assert_eq!(big.trials, 320);
+    let shared = Campaign::new(Coin, &target, &device)
+        .budget(small.clone())
+        .store(&mut store)
+        .run_full()
+        .expect("small run")
+        .1;
+    assert_eq!(shared.trials, 100);
+    assert_eq!(shared.counts, alone.counts);
+    assert_eq!(shared.resumed_trials, 0, "the 320-trial checkpoint must not be reused");
+
+    // Handing the large run's checkpoint over explicitly is an error.
+    let err = Campaign::new(Coin, &target, &device)
+        .budget(small)
+        .resume_from(big.checkpoint)
+        .run()
+        .unwrap_err();
+    assert!(matches!(err, campaign::CampaignError::CheckpointMismatch(_)), "{err}");
+
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Wall-clock watchdog.
 

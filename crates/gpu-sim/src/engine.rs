@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// Forward an event to the installed sink, if any. Event construction
 /// happens inside the branch, so with no sink each hook point costs one
 /// `Option` check and nothing else — the zero-cost-when-disabled contract
-/// the overhead benchmark (`bench/benches/obs_overhead.rs`) verifies.
+/// whose cost `bench/benches/telemetry_overhead.rs` reports.
 macro_rules! emit {
     ($ctx:expr, $ev:expr) => {
         if let Some(sink) = $ctx.sink.as_deref_mut() {

@@ -1383,6 +1383,34 @@ mod tests {
     }
 
     #[test]
+    fn store_tells_same_named_builds_apart() {
+        let kepler = DeviceModel::named("k40c-sim");
+        let w7 = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
+        let w10 = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
+        assert_eq!(w7.name, w10.name, "the probe needs two builds sharing a name");
+        let alone = avf(Injector::NvBitFi, &w10, &kepler, 96);
+        assert_ne!(alone.counts, avf(Injector::NvBitFi, &w7, &kepler, 96).counts);
+
+        let dir =
+            std::env::temp_dir().join(format!("injector-store-builds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = campaign::CheckpointStore::open(&dir).unwrap();
+        for w in [&w7, &w10] {
+            let (r, run) = Campaign::new(Avf::new(Injector::NvBitFi), w, &kepler)
+                .budget(budget(96))
+                .store(&mut store)
+                .run_full()
+                .unwrap();
+            assert_eq!(run.resumed_trials, 0, "{}: served another build's tallies", w.name);
+            if std::ptr::eq(w, &w10) {
+                assert_eq!(r.counts, alone.counts);
+            }
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn avf_fractions_sum_to_one() {
         let kepler = DeviceModel::named("k40c-sim");
         let w = build(Benchmark::Hotspot, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
