@@ -14,9 +14,7 @@ use beam::{Beam, CrossSections};
 use gpu_arch::{CodeGen, Precision};
 use gpu_sim::SiteClass;
 use injector::{Avf, ClassAvf, Injector};
-use prediction::{
-    characterize_units, memory_footprint, predict, CharacterizeConfig, PredictOptions,
-};
+use prediction::{memory_footprint, predict, PredictOptions};
 use profiler::profile;
 use stats::signed_ratio;
 use workloads::{build, Benchmark};
@@ -35,9 +33,7 @@ pub struct PhiRow {
 /// φ ablation over a few Kepler codes (ECC on).
 pub fn ablate_phi(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<PhiRow> {
     let (kepler, _) = devices();
-    let char_cfg =
-        CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
-    let units = characterize_units(&kepler, &microbench::suite(&kepler), &char_cfg);
+    let units = ctx.unit_fits("ablate/phi", &kepler, cfg);
 
     let mut rows = Vec::new();
     for bench in [Benchmark::Mxm, Benchmark::Hotspot, Benchmark::Gaussian, Benchmark::Mergesort] {
@@ -83,9 +79,7 @@ pub fn ablate_half_capability(
     ctx: &mut ObserveCtx<'_>,
 ) -> HalfCapabilityResult {
     let (_, volta) = devices();
-    let char_cfg =
-        CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
-    let units = characterize_units(&volta, &microbench::suite(&volta), &char_cfg);
+    let units = ctx.unit_fits("ablate/half", &volta, cfg);
 
     let h = build(Benchmark::Hotspot, Precision::Half, CodeGen::Cuda10, cfg.scale);
     let f = build(Benchmark::Hotspot, Precision::Single, CodeGen::Cuda10, cfg.scale);

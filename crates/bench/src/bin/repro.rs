@@ -178,7 +178,10 @@ fn write_demo_trace(path: &str) {
 fn main() {
     let (flags, args) = parse_flags(std::env::args().skip(1).collect());
     let what = args.first().map(String::as_str).unwrap_or("help").to_string();
-    let cfg = HarnessConfig::from_env();
+    let cfg = HarnessConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     // Device registry: builtins plus any --device-dir overlays; shared by
     // --list-devices and the `device` command's --device resolution.

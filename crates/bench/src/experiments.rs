@@ -8,11 +8,11 @@ use beam::{Beam, BeamResult};
 use campaign::{Budget, Campaign, Kind};
 use gpu_arch::{CodeGen, DeviceModel, DeviceSpec, MixCategory, Precision};
 use gpu_sim::Target;
-use injector::{Avf, AvfResult, HiddenClass, HiddenCoverage, Injector};
+use injector::{Avf, AvfResult, ClassAvf, HiddenClass, HiddenCoverage, Injector};
+use microbench::MicroBench;
 use obs::{CampaignObserver, MetricsRegistry, MetricsSnapshot, Progress};
 use prediction::{
-    characterize_units, compare, memory_footprint, predict, predict_hidden, CharacterizeConfig,
-    ComparisonRow, PredictOptions, UnitFits,
+    compare, memory_footprint, predict, predict_hidden, ComparisonRow, PredictOptions, UnitFits,
 };
 use profiler::profile;
 use workloads::{build, build_with, kepler_suite, volta_suite, Benchmark, Scale, Workload};
@@ -66,10 +66,15 @@ impl HarnessConfig {
 
     /// Reads `REPRO_PROFILE` (`quick` default, `full`) from the
     /// environment.
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    /// When `REPRO_PROFILE` is set to any other value.
+    pub fn from_env() -> Result<Self, String> {
         match std::env::var("REPRO_PROFILE").as_deref() {
-            Ok("full") => HarnessConfig::full(),
-            _ => HarnessConfig::quick(),
+            Ok("quick") | Err(std::env::VarError::NotPresent) => Ok(HarnessConfig::quick()),
+            Ok("full") => Ok(HarnessConfig::full()),
+            Ok(name) => Err(format!("REPRO_PROFILE={name:?}: expected quick|full")),
+            Err(e) => Err(format!("REPRO_PROFILE: {e}; expected quick|full")),
         }
     }
 }
@@ -209,6 +214,52 @@ impl<'a> ObserveCtx<'a> {
         injector.supports(target, device).ok()?;
         Some(self.run(label, Avf::new(injector), target, device, budget))
     }
+
+    /// Beam-measure every micro-benchmark of `device` (the Figure 3
+    /// campaigns, labeled `{prefix}/{arch}/{bench}`): arithmetic, MMA and
+    /// LDST benches with ECC on, the RF bench with ECC off.
+    fn bench_beams(
+        &mut self,
+        prefix: &str,
+        device: &DeviceModel,
+        budget: &Budget,
+    ) -> Vec<(MicroBench, BeamResult)> {
+        let arch = device.arch.name();
+        microbench::suite(device)
+            .into_iter()
+            .map(|mb| {
+                let label = format!("{prefix}/{arch}/{}", mb.name);
+                let beam =
+                    self.run(&label, Beam::auto(!mb.is_register_file()), &mb, device, budget);
+                (mb, beam)
+            })
+            .collect()
+    }
+
+    /// Characterize `device`'s functional units, the unit FITs of
+    /// Equation 2: the micro-benchmark beams (labeled
+    /// `{prefix}/units/{arch}/{bench}`), each non-RF bench de-masked by
+    /// its own unit AVF (`.../demask`), folded with [`UnitFits::fold`].
+    /// The same campaigns and fold as [`prediction::characterize_units`]
+    /// with `cfg`'s bench budgets, so the beams resume Figure 3's from a
+    /// shared checkpoint store.
+    pub fn unit_fits(
+        &mut self,
+        prefix: &str,
+        device: &DeviceModel,
+        cfg: &HarnessConfig,
+    ) -> UnitFits {
+        let prefix = format!("{prefix}/units");
+        let mut fits = UnitFits::default();
+        for (mb, beam) in self.bench_beams(&prefix, device, &cfg.bench_beam) {
+            let demask = (!mb.is_register_file()).then(|| {
+                let label = format!("{prefix}/{}/{}/demask", device.arch.name(), mb.name);
+                self.run(&label, ClassAvf::unit(mb.unit), &mb, device, &cfg.bench_injection)
+            });
+            fits.fold(&mb, device, &beam, demask.as_ref());
+        }
+        fits
+    }
 }
 
 // ------------------------------------------------------------- Table I --
@@ -291,40 +342,28 @@ fn fig3_device(
     cfg: &HarnessConfig,
     ctx: &mut ObserveCtx<'_>,
 ) -> Vec<Fig3Row> {
-    let label = device.arch.name();
-    let benches = microbench::suite(device);
-    let mut raws: Vec<(String, BeamResult, Option<f64>)> = Vec::new();
-    for mb in &benches {
-        let is_rf = mb.name == "RF";
-        let obs_label = format!("fig3/{label}/{}", mb.name);
-        let res = ctx.run(&obs_label, Beam::auto(!is_rf), mb, device, &cfg.bench_beam);
-        let per_mb = if is_rf {
-            // Report the register file per megabyte, as the figure does.
-            let golden = mb.execute_golden(device);
-            let resident_threads = golden.timing.resident_warps * 32.0 * device.sms as f64;
-            let bits = mb.kernel.regs_per_thread.max(16) as f64 * 32.0 * resident_threads;
-            Some(8_388_608.0 / bits) // bits per megabyte / exposed bits
-        } else {
-            None
-        };
-        raws.push((mb.name.clone(), res, per_mb));
-    }
+    let beams = ctx.bench_beams("fig3", device, &cfg.bench_beam);
     // Normalization reference from the device spec: FADD DUE on Kepler,
     // HFMA DUE on Volta/Ampere.
-    let reference_name = device.caps.fig3_reference.as_str();
-    let reference = raws
+    let reference = beams
         .iter()
-        .find(|(n, _, _)| n == reference_name)
-        .map(|(_, r, _)| r.due_fit.fit)
+        .find(|(mb, _)| mb.name == device.caps.fig3_reference)
+        .map(|(_, r)| r.due_fit.fit)
         .filter(|&v| v > 0.0)
         .unwrap_or(1.0);
-    raws.into_iter()
-        .map(|(name, r, per_mb)| {
-            let scale = per_mb.unwrap_or(1.0);
-            let display = if name == "RF" { "RF/MB".to_string() } else { name };
+    beams
+        .into_iter()
+        .map(|(mb, r)| {
+            // Report the register file per megabyte, as the figure does:
+            // bits per megabyte / exposed bits.
+            let (name, scale) = if mb.is_register_file() {
+                ("RF/MB".to_string(), 8_388_608.0 / mb.exposed_rf_bits(device))
+            } else {
+                (mb.name, 1.0)
+            };
             Fig3Row {
-                device: label,
-                name: display,
+                device: device.arch.name(),
+                name,
                 sdc_fit: r.sdc_fit.fit * scale,
                 due_fit: r.due_fit.fit * scale,
                 sdc_norm: r.sdc_fit.fit * scale / reference,
@@ -624,18 +663,17 @@ impl AvfBank {
 /// Regenerate Figure 6 (and the Section VII-B DUE analysis): beam-measured
 /// vs predicted SDC FIT for every code, ECC off and on, both devices.
 ///
-/// The AVF and beam campaigns are Figure 4's and Figure 5's (same kinds,
-/// targets and budgets), so with a checkpoint store shared across the
-/// run they resume as finished instead of running again.
+/// The characterization beams are Figure 3's and the AVF and beam
+/// campaigns Figure 4's and Figure 5's (same kinds, targets and budgets),
+/// so with a checkpoint store shared across the run they resume as
+/// finished instead of running again.
 pub fn fig6(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> ComparisonSet {
     let (kepler, volta) = devices();
-    let char_cfg =
-        CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
 
     // 1. Characterize the functional units on both devices (Figure 3 data
     //    in usable form).
-    let kepler_units = characterize_units(&kepler, &microbench::suite(&kepler), &char_cfg);
-    let volta_units = characterize_units(&volta, &microbench::suite(&volta), &char_cfg);
+    let kepler_units = ctx.unit_fits("fig6", &kepler, cfg);
+    let volta_units = ctx.unit_fits("fig6", &volta, cfg);
 
     // 2. AVF banks.
     let mut bank = AvfBank {
@@ -849,9 +887,7 @@ fn coverage_ladder() -> [HiddenCoverage; 4] {
 /// P(DUE | strike) from [`injector::measure_hidden_breakdown`] campaigns.
 pub fn hidden_gap_closure(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> GapClosure {
     let (_, volta) = devices();
-    let char_cfg =
-        CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
-    let units = characterize_units(&volta, &microbench::suite(&volta), &char_cfg);
+    let units = ctx.unit_fits("gap", &volta, cfg);
     let rates = beam::characterize_hidden(&volta, cfg.beam.ceiling, cfg.beam.seed);
     let ladder = coverage_ladder();
 
@@ -864,7 +900,10 @@ pub fn hidden_gap_closure(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> GapC
         let avf = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &volta, &cfg.injection);
         let label = format!("gap/Volta/ecc-on/{}", w.name);
         let measured = ctx.run(&label, Beam::auto(true), &w, &volta, &cfg.beam);
-        let breakdown = injector::measure_hidden_breakdown(&w, &volta, &cfg.injection);
+        let breakdown = injector::measure_hidden_breakdown(&w, &volta, |kind| {
+            let label = format!("gap/Volta/hidden/{}/{}", kind.coverage.label(), w.name);
+            ctx.run(&label, kind, &w, &volta, &cfg.injection)
+        });
         let base =
             predict(&prof, &avf, &units, &feet, &PredictOptions { ecc: true, use_phi: true });
         for coverage in ladder {
@@ -977,9 +1016,7 @@ pub fn device_pipeline(
     // Campaigns run the derived single-SM variant (see DESIGN.md on
     // SM-count scaling); the report carries the full board's identity.
     let device = spec.sim_model();
-    let char_cfg =
-        CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
-    let units = characterize_units(&device, &microbench::suite(&device), &char_cfg);
+    let units = ctx.unit_fits(&format!("device/{}", spec.id), &device, cfg);
     let rates = beam::characterize_hidden(&device, cfg.beam.ceiling, cfg.beam.seed);
     let codegen = spec.codegen_profile();
     let injector_kind = if spec.sassifi { Injector::Sassifi } else { Injector::NvBitFi };
@@ -994,7 +1031,10 @@ pub fn device_pipeline(
         let avf = ctx
             .avf(&label, injector_kind, &w, &device, &cfg.injection)
             .expect("spec-selected injector rejected its own device");
-        let breakdown = injector::measure_hidden_breakdown(&w, &device, &cfg.injection);
+        let breakdown = injector::measure_hidden_breakdown(&w, &device, |kind| {
+            let label = format!("device/{}/hidden/{}/{}", spec.id, kind.coverage.label(), w.name);
+            ctx.run(&label, kind, &w, &device, &cfg.injection)
+        });
         let term = predict_hidden(&prof, &rates, &breakdown, HiddenCoverage::full());
         for &ecc in ecc_states {
             let label = format!("device/{}/{}/{}", spec.id, w.name, ecc_label(ecc));
@@ -1132,15 +1172,12 @@ pub struct BreakdownRow {
     pub due: f64,
 }
 
-/// Measure per-class AVFs for a representative code set.
-///
-/// The per-class campaigns run inside
-/// [`injector::measure_avf_breakdown`], outside `ctx`: this experiment
-/// emits no observations.
-pub fn avf_breakdown(cfg: &HarnessConfig, _ctx: &mut ObserveCtx<'_>) -> Vec<BreakdownRow> {
+/// Measure per-class AVFs for a representative code set: one campaign
+/// (and one observation) per row.
+pub fn avf_breakdown(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<BreakdownRow> {
     use gpu_sim::SiteClass;
     let (kepler, _) = devices();
-    let label = |c: SiteClass| match c {
+    let class_label = |c: SiteClass| match c {
         SiteClass::FloatArith => "FP",
         SiteClass::HalfArith => "HALF",
         SiteClass::IntArith => "INT",
@@ -1151,15 +1188,36 @@ pub fn avf_breakdown(cfg: &HarnessConfig, _ctx: &mut ObserveCtx<'_>) -> Vec<Brea
     for bench in [Benchmark::Mxm, Benchmark::Hotspot, Benchmark::Nw, Benchmark::Mergesort] {
         let precision = if bench.is_integer() { Precision::Int32 } else { Precision::Single };
         let w = build(bench, precision, CodeGen::Cuda10, cfg.scale);
-        let b = injector::measure_avf_breakdown(&w, &kepler, &cfg.injection);
+        let b = injector::measure_avf_breakdown(&w, &kepler, |kind| {
+            let label = format!("breakdown/{}/{}", class_label(kind.class), w.name);
+            ctx.run(&label, kind, &w, &kepler, &cfg.injection)
+        });
         for (class, r) in &b.per_class {
             rows.push(BreakdownRow {
                 name: w.name.clone(),
-                class: label(*class),
+                class: class_label(*class),
                 sdc: r.sdc_avf(),
                 due: r.due_avf(),
             });
         }
     }
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::HarnessConfig;
+
+    /// The only test in this binary that touches `REPRO_PROFILE`.
+    #[test]
+    fn from_env_accepts_only_quick_and_full() {
+        for (name, ceiling) in [("quick", Some(4000)), ("full", Some(40_000)), ("Full", None)] {
+            std::env::set_var("REPRO_PROFILE", name);
+            assert_eq!(HarnessConfig::from_env().ok().map(|c| c.beam.ceiling), ceiling, "{name}");
+        }
+        std::env::set_var("REPRO_PROFILE", "ful");
+        assert!(HarnessConfig::from_env().unwrap_err().contains("quick|full"));
+        std::env::remove_var("REPRO_PROFILE");
+        assert_eq!(HarnessConfig::from_env().map(|c| c.beam.ceiling), Ok(4000));
+    }
 }

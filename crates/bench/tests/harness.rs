@@ -7,8 +7,15 @@ use bench::{
     avf_breakdown, codegen_comparison, convergence, device_pipeline, due_analysis, fig3, fig4,
     fig5, fig6, table1, Budget, CampaignObservation, HarnessConfig, ObserveCtx,
 };
-use gpu_arch::DeviceRegistry;
+use gpu_arch::{DeviceModel, DeviceRegistry};
+use prediction::{characterize_units, CharacterizeConfig};
 use workloads::{Benchmark, Scale};
+
+/// Unit-characterization campaigns per device: one beam per
+/// micro-benchmark plus one de-masking AVF per non-RF bench (Kepler: 6
+/// arithmetic + LDST + RF; Volta: 14 arithmetic/MMA + LDST + RF).
+const KEPLER_UNITS: usize = 8 + 7;
+const VOLTA_UNITS: usize = 16 + 15;
 
 fn micro() -> HarnessConfig {
     HarnessConfig {
@@ -119,7 +126,7 @@ fn fig6_and_due_analysis_are_complete() {
 }
 
 #[test]
-fn fig6_reuses_fig4_and_fig5_campaigns_from_a_shared_store() {
+fn fig6_reuses_fig3_fig4_and_fig5_campaigns_from_a_shared_store() {
     let cfg = micro();
     let (alone, alone_seen) = observed(|ctx| fig6(&cfg, ctx));
 
@@ -130,6 +137,7 @@ fn fig6_reuses_fig4_and_fig5_campaigns_from_a_shared_store() {
         let mut ignore = |_| {};
         let mut ctx = ObserveCtx::new(&mut ignore);
         ctx.store = Some(&mut store);
+        fig3(&cfg, &mut ctx);
         fig4(&cfg, &mut ctx);
         fig5(&cfg, &mut ctx);
     }
@@ -147,6 +155,13 @@ fn fig6_reuses_fig4_and_fig5_campaigns_from_a_shared_store() {
     assert_eq!(format!("{:?}", shared.kepler_units), format!("{:?}", alone.kepler_units));
     assert_eq!(format!("{:?}", shared.volta_units), format!("{:?}", alone.volta_units));
     assert_eq!(seen.len(), alone_seen.len(), "resumed campaigns are still observed");
+    let beams: Vec<_> = seen
+        .iter()
+        .filter(|o| o.campaign.starts_with("fig6/units/") && !o.campaign.ends_with("/demask"))
+        .cloned()
+        .collect();
+    assert_eq!(beams.len(), 8 + 16, "one characterization beam per micro-benchmark");
+    assert_eq!(trials_run(&beams), 0, "fig6 reran fig3's micro-benchmark beams");
     assert!(
         trials_run(&seen) < trials_run(&alone_seen) / 2,
         "fig6 reran fig4/fig5 campaigns: {} of {} trials",
@@ -181,8 +196,9 @@ fn convergence_ci_shrinks() {
 fn ablations_are_observed() {
     let (text, seen) = observed(|ctx| bench::ablations::render(&micro(), ctx));
     assert!(text.contains("Ablation 3"));
-    // phi: 4 codes x (AVF + beam); half: 2 AVFs + 1 beam; MBU: 4 beams.
-    assert_eq!(seen.len(), 15);
+    // phi: Kepler units + 4 codes x (AVF + beam); half: Volta units +
+    // 2 AVFs + 1 beam; MBU: 4 beams.
+    assert_eq!(seen.len(), 15 + KEPLER_UNITS + VOLTA_UNITS);
 }
 
 #[test]
@@ -190,15 +206,30 @@ fn device_pipeline_is_observed() {
     let spec = DeviceRegistry::builtin().resolve_spec("k40c").expect("builtin spec");
     let (report, seen) = observed(|ctx| device_pipeline(&spec, &micro(), ctx));
     assert_eq!(report.rows.len(), 6, "3 codes x 2 ECC states");
-    // One AVF per code plus one beam per row.
-    assert_eq!(seen.len(), 9);
+    // Kepler units, one AVF per code, one beam per row, and one campaign
+    // per live hidden class of each code (14 over the three codes).
+    let hidden = seen.iter().filter(|o| o.campaign.contains("/hidden/")).count();
+    assert_eq!(hidden, 14);
+    assert_eq!(seen.len(), KEPLER_UNITS + 9 + hidden);
 }
 
 #[test]
-fn avf_breakdown_runs_outside_the_context() {
+fn avf_breakdown_is_observed() {
     let (rows, seen) = observed(|ctx| avf_breakdown(&micro(), ctx));
     assert!(!rows.is_empty());
-    // The per-class campaigns live inside injector::measure_avf_breakdown:
-    // the one experiment still unobserved.
-    assert!(seen.is_empty());
+    assert_eq!(seen.len(), rows.len(), "one class-AVF campaign per row");
+}
+
+#[test]
+fn observed_characterization_matches_characterize_units() {
+    let cfg = micro();
+    let char_cfg =
+        CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
+    for (id, campaigns) in [("k40c-sim", KEPLER_UNITS), ("v100-sim", VOLTA_UNITS)] {
+        let device = DeviceModel::named(id);
+        let (observed_fits, seen) = observed(|ctx| ctx.unit_fits("test", &device, &cfg));
+        let blind = characterize_units(&device, &microbench::suite(&device), &char_cfg);
+        assert_eq!(format!("{observed_fits:?}"), format!("{blind:?}"), "{id}");
+        assert_eq!(seen.len(), campaigns, "{id}");
+    }
 }

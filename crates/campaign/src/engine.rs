@@ -230,7 +230,6 @@ pub struct Campaign<'a, T: Target + Sync + ?Sized, K: Kind<T>> {
     budget: Budget,
     observer: CampaignObserver<'a>,
     workers: usize,
-    checkpoint_every: u32,
     sink: Option<CheckpointSink<'a>>,
     resume: Option<Checkpoint>,
     store: Option<&'a mut CheckpointStore>,
@@ -247,7 +246,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             budget: Budget::default(),
             observer: CampaignObserver::none(),
             workers: 1,
-            checkpoint_every: 1,
             sink: None,
             resume: None,
             store: None,
@@ -273,23 +271,16 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         self
     }
 
-    /// Emit a checkpoint to the sink every `shards` folded shards
-    /// (default 1; the terminal checkpoint is always emitted).
-    pub fn checkpoint_every(mut self, shards: u32) -> Self {
-        self.checkpoint_every = shards.max(1);
-        self
-    }
-
-    /// Receive checkpoints as they are emitted (write them to a JSONL
-    /// stream with [`Checkpoint::to_json_line`]).
+    /// Receive a checkpoint after every folded shard (write them to a
+    /// JSONL stream with [`Checkpoint::to_json_line`]).
     pub fn on_checkpoint(mut self, sink: impl FnMut(&Checkpoint) + 'a) -> Self {
         self.sink = Some(Box::new(sink));
         self
     }
 
-    /// Attach a durable [`CheckpointStore`]: checkpoints are saved to it
-    /// at the [`Campaign::checkpoint_every`] cadence, quarantined trials
-    /// are appended to its quarantine journal, and — unless
+    /// Attach a durable [`CheckpointStore`]: a checkpoint is saved to it
+    /// after every folded shard, quarantined trials are appended to its
+    /// quarantine journal, and — unless
     /// [`Campaign::resume_from`] was given explicitly — the campaign
     /// automatically resumes from the store's last checkpoint for this
     /// campaign's [`CampaignKey`] (label, target digest and budget).
@@ -418,7 +409,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         let mut quarantine: Vec<QuarantineRecord> = Vec::new();
 
         let mut stop = eval_stop(&counts, trials, floor, ceiling, ci);
-        let mut since_checkpoint = 0u32;
         'campaign: while stop.is_none() && next_shard < total_shards {
             let wave_start = next_shard;
             let wave_end = (wave_start + workers as u32).min(total_shards);
@@ -453,7 +443,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
                 }
                 trials += out.trials;
                 next_shard += 1;
-                since_checkpoint += 1;
                 retries += out.retries;
                 for mut rec in std::mem::take(&mut out.quarantined) {
                     rec.label.clone_from(&label);
@@ -490,10 +479,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
                         ],
                     );
                 }
-                let boundary = stop.is_some() || next_shard == total_shards;
-                if (boundary || since_checkpoint >= self.checkpoint_every)
-                    && (self.sink.is_some() || self.store.is_some())
-                {
+                if self.sink.is_some() || self.store.is_some() {
                     let cp = snapshot(&key, next_shard, trials, counts, &direct);
                     if let Some(sink) = self.sink.as_mut() {
                         sink(&cp);
@@ -505,7 +491,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
                             save_timer.observe(&m.histogram("campaign.store.save_micros"));
                         }
                     }
-                    since_checkpoint = 0;
                 }
                 if stop.is_some() {
                     // Discard any shards speculatively run past the stop

@@ -1,31 +1,59 @@
 //! The spec layer's equivalence and robustness contracts.
 //!
-//! 1. **Parity:** every built-in spec compiles field-for-field equal to
-//!    the deprecated hand-coded constructor it replaced (the
-//!    constructors stay in-tree as the oracle precisely for this test).
+//! 1. **Parity:** every paper-era built-in spec compiles to exactly the
+//!    model field values pinned here (the values the hand-coded
+//!    constructors produced before the specs replaced them).
 //! 2. **Robustness:** the parser/validator never panics on malformed
 //!    input — random mutations of valid specs and arbitrary junk either
 //!    validate or produce field-path `ValidationError`s.
 
-#![allow(deprecated)]
-
 use gpu_arch::spec::{DeviceRegistry, DeviceSpec, RawSpec, BUILTIN_SPECS};
-use gpu_arch::DeviceModel;
+use gpu_arch::{DeviceCaps, DeviceModel};
 use proptest::prelude::*;
 
+/// Every field of the paper-era compiled models, pinned to the values the
+/// hand-coded constructors produced before the specs replaced them. Per
+/// field, one value for all five boards or one per board in `ids` order.
 #[test]
-fn builtin_specs_match_hand_coded_models() {
-    let reg = DeviceRegistry::builtin();
-    let cases: &[(&str, DeviceModel)] = &[
-        ("k40c", DeviceModel::k40c()),
-        ("v100", DeviceModel::v100()),
-        ("titan-v", DeviceModel::titan_v()),
-        ("k40c-sim", DeviceModel::k40c_sim()),
-        ("v100-sim", DeviceModel::v100_sim()),
-    ];
-    for (id, oracle) in cases {
-        let compiled = reg.model(id).unwrap_or_else(|| panic!("{id} not in registry"));
-        assert_eq!(&compiled, oracle, "spec-compiled {id} differs from the hand-coded model");
+fn builtin_specs_compile_to_pinned_models() {
+    use gpu_arch::Architecture::{Kepler, Volta};
+    use gpu_arch::CodeGen::{Cuda10, Cuda7};
+    use gpu_arch::FunctionalUnit::*;
+    let ids = ["k40c", "v100", "titan-v", "k40c-sim", "v100-sim"];
+    let names =
+        ["Tesla K40c", "Tesla V100", "Titan V", "Tesla K40c (1-SM sim)", "Tesla V100 (1-SM sim)"];
+    let kepler = vec![Fadd, Fmul, Ffma, Iadd, Imul, Imad];
+    let volta =
+        vec![Hadd, Hmul, Hfma, Fadd, Fmul, Ffma, Dadd, Dmul, Dfma, Iadd, Imul, Imad, Hmma, Fmma];
+    for (i, id) in ids.into_iter().enumerate() {
+        let pinned = DeviceModel {
+            name: names[i].to_string(),
+            arch: [Kepler, Volta, Volta, Kepler, Volta][i],
+            sms: [15, 80, 80, 1, 1][i],
+            schedulers_per_sm: 4,
+            issue_per_scheduler: [2, 1, 1, 2, 1][i],
+            fp32_lanes: [192, 64, 64, 192, 64][i],
+            fp64_lanes: [64, 32, 32, 64, 32][i],
+            int32_lanes: [0, 64, 64, 0, 64][i],
+            fp16_lanes: [0, 128, 128, 0, 128][i],
+            tensor_cores: [0, 8, 8, 0, 8][i],
+            tensor_core_width: 32,
+            ldst_units: 32,
+            rf_bytes_per_sm: 256 * 1024,
+            shared_bytes_per_sm: [48, 96, 96, 48, 96][i] * 1024,
+            max_threads_per_sm: 2048,
+            max_warps_per_sm: 64,
+            clock_hz: [745e6, 1380e6, 1380e6, 745e6, 1380e6][i],
+            sram_bit_sensitivity: [10.0, 1.0, 1.0, 10.0, 1.0][i],
+            ecc_capable: [true, true, false, true, true][i],
+            caps: DeviceCaps {
+                sassifi: [true, false, false, true, false][i],
+                default_codegen: [Cuda7, Cuda10, Cuda10, Cuda7, Cuda10][i],
+                fig3_reference: ["FADD", "HFMA", "HFMA", "FADD", "HFMA"][i].to_string(),
+                bench_units: [&kepler, &volta, &volta, &kepler, &volta][i].clone(),
+            },
+        };
+        assert_eq!(DeviceModel::named(id), pinned, "spec-compiled {id} differs from its pin");
     }
 }
 

@@ -38,7 +38,7 @@
 //! deprecated for several releases, are gone; see the README migration
 //! notes.)
 
-use campaign::{Budget, Campaign, CampaignRun, Kind, Sampler, TrialPlan};
+use campaign::{CampaignRun, Kind, Sampler, TrialPlan};
 use gpu_arch::decode::{FP32_ARITH_UNITS, FP64_ARITH_UNITS, HALF_ARITH_UNITS, INT_ARITH_UNITS};
 use gpu_arch::{DeviceModel, FunctionalUnit, LaunchConfig, Op};
 use gpu_sim::{
@@ -814,12 +814,13 @@ pub struct AvfBreakdown {
     pub per_class: Vec<(SiteClass, AvfResult)>,
 }
 
-/// Measure the SDC/DUE AVF separately per site class. Every per-class
-/// campaign shares the same cached golden run and `budget`.
+/// Measure the SDC/DUE AVF separately per site class: `run` runs the
+/// [`ClassAvf`] campaign of each class the golden run exercises (over
+/// `target` on `device`, with the caller's budget and observer).
 pub fn measure_avf_breakdown<T: Target + Sync + ?Sized>(
     target: &T,
     device: &DeviceModel,
-    budget: &Budget,
+    mut run: impl FnMut(ClassAvf) -> AvfResult,
 ) -> AvfBreakdown {
     let (golden, _) =
         campaign::golden::fetch(target, device, campaign::golden::GoldenRequest::new(false))
@@ -832,11 +833,7 @@ pub fn measure_avf_breakdown<T: Target + Sync + ?Sized>(
         if pop == 0 {
             continue;
         }
-        let r = Campaign::new(ClassAvf::new(class), target, device)
-            .budget(budget.clone())
-            .run()
-            .expect("class-AVF campaign failed");
-        per_class.push((class, r));
+        per_class.push((class, run(ClassAvf::new(class))));
     }
     AvfBreakdown { target: target.name().to_string(), per_class }
 }
@@ -1191,23 +1188,20 @@ impl HiddenBreakdown {
     }
 }
 
-/// Measure P(SDC/DUE | strike) separately per live hidden class. Every
-/// per-class campaign shares the same cached golden run and `budget`.
+/// Measure P(SDC/DUE | strike) separately per live hidden class: `run`
+/// runs the [`HiddenAvf::class`] campaign of each class `target`
+/// exercises on `device` (with the caller's budget and observer).
 pub fn measure_hidden_breakdown<T: Target + Sync + ?Sized>(
     target: &T,
     device: &DeviceModel,
-    budget: &Budget,
+    mut run: impl FnMut(HiddenAvf) -> HiddenResult,
 ) -> HiddenBreakdown {
     let (golden, _) =
         campaign::golden::fetch(target, device, campaign::golden::GoldenRequest::new(false))
             .expect("golden run failed");
     let mut per_class = Vec::new();
     for class in hidden_classes_available(target.kernel(), &golden) {
-        let r = Campaign::new(HiddenAvf::class(class), target, device)
-            .budget(budget.clone())
-            .run()
-            .expect("hidden-class campaign failed");
-        per_class.push((class, r));
+        per_class.push((class, run(HiddenAvf::class(class))));
     }
     HiddenBreakdown { target: target.name().to_string(), per_class }
 }
@@ -1215,6 +1209,7 @@ pub fn measure_hidden_breakdown<T: Target + Sync + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use campaign::{Budget, Campaign};
     use gpu_arch::{CodeGen, Precision};
     use workloads::{build, Benchmark, Scale};
 
@@ -1525,7 +1520,9 @@ mod tests {
         let volta = DeviceModel::named("v100-sim");
         // MXM synchronizes and touches memory: every class is live.
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
-        let b = measure_hidden_breakdown(&w, &volta, &Budget::fixed(50).seed(7));
+        let b = measure_hidden_breakdown(&w, &volta, |kind| {
+            Campaign::new(kind, &w, &volta).budget(Budget::fixed(50).seed(7)).run().unwrap()
+        });
         let classes: Vec<HiddenClass> = b.per_class.iter().map(|(c, _)| *c).collect();
         assert!(classes.contains(&HiddenClass::Scheduler));
         assert!(classes.contains(&HiddenClass::MemQueue));
@@ -1557,6 +1554,7 @@ mod tests {
 #[cfg(test)]
 mod breakdown_tests {
     use super::*;
+    use campaign::{Budget, Campaign};
     use gpu_arch::{CodeGen, Precision};
     use workloads::{build, Benchmark, Scale};
 
@@ -1564,7 +1562,9 @@ mod breakdown_tests {
     fn breakdown_covers_the_code_mix() {
         let device = DeviceModel::named("k40c-sim");
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
-        let b = measure_avf_breakdown(&w, &device, &Budget::fixed(60).seed(4));
+        let b = measure_avf_breakdown(&w, &device, |kind| {
+            Campaign::new(kind, &w, &device).budget(Budget::fixed(60).seed(4)).run().unwrap()
+        });
         let classes: Vec<SiteClass> = b.per_class.iter().map(|(c, _)| *c).collect();
         assert!(classes.contains(&SiteClass::FloatArith));
         assert!(classes.contains(&SiteClass::IntArith));
@@ -1582,7 +1582,9 @@ mod breakdown_tests {
         // address arithmetic.
         let device = DeviceModel::named("k40c-sim");
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
-        let b = measure_avf_breakdown(&w, &device, &Budget::fixed(150).seed(4));
+        let b = measure_avf_breakdown(&w, &device, |kind| {
+            Campaign::new(kind, &w, &device).budget(Budget::fixed(150).seed(4)).run().unwrap()
+        });
         let get = |c: SiteClass| {
             b.per_class.iter().find(|(cc, _)| *cc == c).map(|(_, r)| r.sdc_avf()).unwrap()
         };

@@ -19,8 +19,8 @@
 //! injection-measured AVF.
 
 use gpu_arch::{
-    CmpOp, FunctionalUnit, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand, Precision, Pred,
-    Reg, SpecialReg,
+    CmpOp, DeviceModel, FunctionalUnit, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand,
+    Precision, Pred, Reg, SpecialReg, WARP_SIZE,
 };
 use gpu_sim::{Executed, GlobalMemory, Target};
 use softfloat::F16;
@@ -71,6 +71,22 @@ pub struct MicroBench {
     pub memory: GlobalMemory,
     /// Output region compared against the golden run.
     pub output: (u32, u32),
+}
+
+impl MicroBench {
+    /// Whether this is the RF storage exposure (beamed with ECC off and
+    /// rated per exposed bit) rather than a functional-unit pipe.
+    pub fn is_register_file(&self) -> bool {
+        self.name == "RF"
+    }
+
+    /// Register-file bits this bench exposes on `device`: the kernel's
+    /// registers (at least 16) of every resident thread on every SM.
+    pub fn exposed_rf_bits(&self, device: &DeviceModel) -> f64 {
+        let golden = self.execute_golden(device);
+        let resident_threads = golden.timing.resident_warps * WARP_SIZE as f64 * device.sms as f64;
+        self.kernel.regs_per_thread.max(16) as f64 * 32.0 * resident_threads
+    }
 }
 
 impl Target for MicroBench {
@@ -468,7 +484,7 @@ pub fn register_file() -> MicroBench {
 /// table (the Figure 3 x axis — float + int on Kepler, all precisions +
 /// tensor cores on Volta/Ampere) plus the LDST and RF exposures every
 /// target gets.
-pub fn suite(device: &gpu_arch::DeviceModel) -> Vec<MicroBench> {
+pub fn suite(device: &DeviceModel) -> Vec<MicroBench> {
     let mut out = Vec::new();
     for &u in &device.caps.bench_units {
         out.push(match u {
@@ -485,7 +501,6 @@ pub fn suite(device: &gpu_arch::DeviceModel) -> Vec<MicroBench> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_arch::DeviceModel;
     use gpu_sim::ExecStatus;
 
     #[test]

@@ -56,6 +56,43 @@ pub struct UnitFits {
 }
 
 impl UnitFits {
+    /// Fold one micro-benchmark's beam result into the table.
+    ///
+    /// The RF bench sets the per-bit rates over the register bits it
+    /// exposes. Every other bench sets its unit's FITs and work, its SDC
+    /// FIT divided by the SDC AVF of `demask`, the bench's own unit AVF
+    /// (Section V-A: the bench only observes errors that survive to the
+    /// end of the chain), floored at 0.05 against tiny campaigns.
+    ///
+    /// # Panics
+    ///
+    /// If `demask` is `None` for a bench other than the RF bench.
+    pub fn fold(
+        &mut self,
+        mb: &MicroBench,
+        device: &DeviceModel,
+        beam: &BeamResult,
+        demask: Option<&AvfResult>,
+    ) {
+        if mb.is_register_file() {
+            let bits = mb.exposed_rf_bits(device);
+            self.rf_sdc_per_bit = beam.sdc_fit.fit / bits;
+            self.rf_due_per_bit = beam.due_fit.fit / bits;
+            return;
+        }
+        let sdc_avf = demask.expect("non-RF bench folded without its de-mask AVF").sdc_avf();
+        let count = mb.execute_golden(device).counts.unit(mb.unit) as f64;
+        let work = if matches!(mb.unit, FunctionalUnit::Hmma | FunctionalUnit::Fmma) {
+            count * 4.0
+        } else {
+            count
+        };
+        let i = mb.unit.index();
+        self.sdc[i] = beam.sdc_fit.fit / sdc_avf.max(0.05);
+        self.due[i] = beam.due_fit.fit;
+        self.bench_work[i] = work;
+    }
+
     /// SDC FIT of unit `u` per unit of dynamic work (lane-cycle): the
     /// quantity Equation 2 scales by `f(INST_i)` x total work.
     pub fn sdc_per_work(&self, u: FunctionalUnit) -> f64 {
@@ -99,10 +136,12 @@ impl Default for CharacterizeConfig {
     }
 }
 
-/// Beam-measure every micro-benchmark and build the [`UnitFits`] table.
+/// Beam-measure every micro-benchmark and build the [`UnitFits`] table
+/// with [`UnitFits::fold`].
 ///
-/// Arithmetic/MMA/LDST benches run with ECC on (their state is registers);
-/// the RF bench runs with ECC off, as in the paper (Figure 3 caption).
+/// Arithmetic/MMA/LDST benches run with ECC on (their state is registers)
+/// and are de-masked by a [`ClassAvf::unit`] campaign; the RF bench runs
+/// with ECC off, as in the paper (Figure 3 caption).
 pub fn characterize_units(
     device: &DeviceModel,
     benches: &[MicroBench],
@@ -110,39 +149,18 @@ pub fn characterize_units(
 ) -> UnitFits {
     let mut fits = UnitFits::default();
     for mb in benches {
-        let is_rf = mb.name == "RF";
-        let result = Campaign::new(Beam::auto(!is_rf), mb, device)
+        let rf = mb.is_register_file();
+        let beam = Campaign::new(Beam::auto(!rf), mb, device)
             .budget(config.beam.clone())
             .run()
             .expect("beam characterization failed");
-        if is_rf {
-            // Normalize to a per-bit rate over the bits the bench exposes.
-            let golden = mb.execute_golden(device);
-            let resident_threads =
-                golden.timing.resident_warps * WARP_SIZE as f64 * device.sms as f64;
-            let bits = mb.kernel.regs_per_thread.max(16) as f64 * 32.0 * resident_threads;
-            fits.rf_sdc_per_bit = result.sdc_fit.fit / bits;
-            fits.rf_due_per_bit = result.due_fit.fit / bits;
-            continue;
-        }
-        // De-mask by the bench's own unit AVF (Section V-A): the bench
-        // only observes errors that survive to the end of the chain.
-        let avf = Campaign::new(ClassAvf::unit(mb.unit), mb, device)
-            .budget(config.injection.clone())
-            .run()
-            .expect("de-masking injection campaign failed");
-        let sdc_avf = avf.sdc_avf().max(0.05); // floor against tiny campaigns
-        let golden = mb.execute_golden(device);
-        let count = golden.counts.unit(mb.unit) as f64;
-        let work = if matches!(mb.unit, FunctionalUnit::Hmma | FunctionalUnit::Fmma) {
-            count * 4.0
-        } else {
-            count
-        };
-        let i = mb.unit.index();
-        fits.sdc[i] = result.sdc_fit.fit / sdc_avf;
-        fits.due[i] = result.due_fit.fit;
-        fits.bench_work[i] = work;
+        let demask = (!rf).then(|| {
+            Campaign::new(ClassAvf::unit(mb.unit), mb, device)
+                .budget(config.injection.clone())
+                .run()
+                .expect("de-masking injection campaign failed")
+        });
+        fits.fold(mb, device, &beam, demask.as_ref());
     }
     fits
 }
@@ -501,8 +519,9 @@ mod tests {
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
         let profile = profiler::profile(&w, &device);
         let rates = beam::characterize_hidden(&device, 800, 11);
-        let breakdown =
-            injector::measure_hidden_breakdown(&w, &device, &Budget::fixed(80).seed(11));
+        let breakdown = injector::measure_hidden_breakdown(&w, &device, |kind| {
+            Campaign::new(kind, &w, &device).budget(Budget::fixed(80).seed(11)).run().unwrap()
+        });
         let ladder = [
             HiddenCoverage::none(),
             HiddenCoverage::of(&[HiddenClass::Scheduler]),

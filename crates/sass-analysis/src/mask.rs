@@ -35,7 +35,6 @@
 use crate::cfg::Cfg;
 use crate::dataflow;
 use gpu_arch::{DecodedKernel, Kernel, Op};
-use gpu_sim::SiteClass;
 
 /// Per-kernel static masking facts.
 pub struct StaticMasks {
@@ -116,19 +115,10 @@ impl StaticMasks {
     /// unweighted by execution counts, so it reflects the *code*, not the
     /// trip counts.
     pub fn ace_fraction(&self) -> f64 {
-        self.ace_over(|_| true)
-    }
-
-    /// [`StaticMasks::ace_fraction`] restricted to sites of `class`.
-    pub fn ace_fraction_for(&self, class: SiteClass) -> f64 {
-        self.ace_over(|op| class.matches(op))
-    }
-
-    fn ace_over(&self, keep: impl Fn(Op) -> bool) -> f64 {
         let mut observed = 0u64;
         let mut width = 0u64;
         for pc in 0..self.ops.len() {
-            if !self.site[pc] || !keep(self.ops[pc]) {
+            if !self.site[pc] {
                 continue;
             }
             observed += u64::from(self.dst_observed[pc].count_ones());

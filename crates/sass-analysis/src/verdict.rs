@@ -60,9 +60,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::cfg::Cfg;
 use crate::flow::{SiteVerdict, ValueFlow};
 use crate::mask::StaticMasks;
-use gpu_arch::{
-    DecodedKernel, Instr, Kernel, LaunchConfig, Op, Operand, Reg, SiteClass, SpecialReg,
-};
+use gpu_arch::{DecodedKernel, Instr, Kernel, LaunchConfig, Op, Operand, Reg, SpecialReg};
 use gpu_sim::DueKind;
 
 /// Launch-time facts the static analysis may assume.
@@ -645,7 +643,6 @@ pub struct KernelVerdicts {
     output_due: Vec<DueBits>,
     /// Per pc: address-flip bits that are proven DUEs.
     mem_due: Vec<DueBits>,
-    ops: Vec<Op>,
     writes_pair: Vec<bool>,
     site: Vec<bool>,
 }
@@ -693,7 +690,6 @@ impl KernelVerdicts {
             mem,
             output_due,
             mem_due,
-            ops: kernel.instrs.iter().map(|i| i.op).collect(),
             writes_pair: (0..n as u32).map(|pc| decoded.meta(pc).writes_pair).collect(),
             site,
         }
@@ -814,19 +810,10 @@ impl KernelAnalysis {
 
     /// Verdict fractions over all GPR-writer site bits.
     pub fn summary(&self) -> VerdictSummary {
-        self.summary_over(|_| true)
-    }
-
-    /// Verdict fractions restricted to GPR-writer sites matching `class`.
-    pub fn summary_for(&self, class: SiteClass) -> VerdictSummary {
-        self.summary_over(|op| class.matches(op))
-    }
-
-    fn summary_over(&self, include: impl Fn(Op) -> bool) -> VerdictSummary {
         let mut counts = [0u64; 5]; // masked, proven_due, store, addr_ctl, unknown
         let mut total = 0u64;
         for pc in 0..self.verdicts.len() as u32 {
-            if !self.verdicts.site[pc as usize] || !include(self.verdicts.ops[pc as usize]) {
+            if !self.verdicts.site[pc as usize] {
                 continue;
             }
             let width = if self.verdicts.writes_pair[pc as usize] { 64 } else { 32 };

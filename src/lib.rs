@@ -85,8 +85,4 @@ pub mod prelude {
     pub use profiler::{profile, KernelProfile};
     pub use stats::{signed_ratio, wilson_half_width, FitRate, Outcome, OutcomeCounts};
     pub use workloads::{build, kepler_suite, volta_suite, Benchmark, Scale, Workload};
-    // The deprecated pre-engine entry points (`measure_avf*`, `expose*`,
-    // `CampaignConfig`, `BeamConfig`) are no longer re-exported here;
-    // migrating callers can still reach them at their crate paths until
-    // the forwarders are removed.
 }
