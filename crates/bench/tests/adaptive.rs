@@ -88,7 +88,7 @@ fn adaptive_budget_is_cheaper_at_full_scale() {
     let w = build(Benchmark::Nw, Precision::Int32, CodeGen::Cuda10, Scale::Small);
 
     let (_, fixed) = Campaign::new(Avf::new(Injector::NvBitFi), &w, &device)
-        .budget(Budget::full().exhaustive())
+        .budget(Budget::fixed(4000).seed(2021))
         .run_full()
         .unwrap();
     let (_, adaptive) = Campaign::new(Avf::new(Injector::NvBitFi), &w, &device)

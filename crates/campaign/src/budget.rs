@@ -1,62 +1,28 @@
 //! Campaign sizing: trial floor/ceiling, the CI-targeted stop rule, the
 //! seed, the shard size that fixes the deterministic RNG partition, and
-//! the per-trial watchdog budgets.
+//! the per-trial hang bound.
 
-use std::time::Duration;
+/// Multiple of the golden run's dynamic instruction count a faulty trial
+/// may execute before [`dyn_limit`] declares it hung.
+const WATCHDOG_FACTOR: u64 = 4;
 
-/// Per-trial watchdog budgets: how long a faulty run may execute before
-/// the harness declares it hung.
+/// Additive slack on top of `WATCHDOG_FACTOR * golden_total`, so that
+/// even tiny kernels get headroom for fault-lengthened execution.
+const WATCHDOG_SLACK: u64 = 100_000;
+
+/// The per-trial hang bound for a golden run of `golden_total` dynamic
+/// instructions: `4 * golden_total + 100_000` (saturating).
 ///
-/// The paper's beam setup layers two recovery mechanisms (Section III-A):
-/// an application-level timeout that kills a hung kernel, and a host
-/// watchdog that power-cycles a machine the timeout cannot save. The
-/// simulator mirrors that layering:
-///
-/// * the **dynamic-instruction bound** — `dyn_factor * golden_total +
-///   dyn_slack` — catches faults that keep the program counter moving
-///   (corrupted loop bounds, branch targets); it is deterministic, so it
-///   is always armed and is part of the tally contract;
-/// * the optional **wall-clock bound** ([`Watchdog::wall_budget`]) backs
-///   it up in real time, reaping trials whose simulation is slow for
-///   host-side reasons the instruction count cannot see. A trial that
-///   trips it is tallied as [`gpu_sim::DueKind::HostWatchdog`]. Because a
-///   wall-clock trip depends on machine speed, arming it trades strict
-///   tally determinism for bounded campaign tail latency — leave it
-///   `None` (the default) when bit-identical reproduction matters more
-///   than runtime.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Watchdog {
-    /// Dynamic-instruction budget as a multiple of the golden run's
-    /// dynamic instruction count.
-    pub dyn_factor: u64,
-    /// Additive slack on top of `dyn_factor * golden_total`, so that even
-    /// tiny kernels get headroom for fault-lengthened execution.
-    pub dyn_slack: u64,
-    /// Optional per-trial wall-clock budget; `None` disarms the
-    /// wall-clock watchdog.
-    pub wall_budget: Option<Duration>,
-}
-
-impl Watchdog {
-    /// The dynamic-instruction limit for a golden run of `golden_total`
-    /// instructions (saturating).
-    pub fn dyn_limit(&self, golden_total: u64) -> u64 {
-        self.dyn_factor.saturating_mul(golden_total).saturating_add(self.dyn_slack)
-    }
-
-    /// Replace the wall-clock budget.
-    pub fn wall(mut self, budget: Duration) -> Self {
-        self.wall_budget = Some(budget);
-        self
-    }
-}
-
-impl Default for Watchdog {
-    /// The historical formula: four times the golden dynamic instruction
-    /// count plus 100k slack, no wall-clock bound.
-    fn default() -> Self {
-        Watchdog { dyn_factor: 4, dyn_slack: 100_000, wall_budget: None }
-    }
+/// This is the simulator's counterpart of the paper's application-level
+/// timeout (Section III-A). A trial that exceeds it ends as a
+/// [`gpu_sim::DueKind::Watchdog`] DUE; hangs that stop the program
+/// counter instead trip the engine's stall and deadlock detectors
+/// ([`gpu_sim::DueKind::SchedulerStall`],
+/// [`gpu_sim::DueKind::BarrierDeadlock`]). Both are pure functions of the
+/// run, so the bound is part of the tally contract and never depends on
+/// the host.
+pub fn dyn_limit(golden_total: u64) -> u64 {
+    WATCHDOG_FACTOR.saturating_mul(golden_total).saturating_add(WATCHDOG_SLACK)
 }
 
 /// When the golden run captures engine snapshots for trial fast-forward.
@@ -126,8 +92,6 @@ pub struct Budget {
     /// Trials per shard — the early-stop granularity and the unit of
     /// checkpoint/resume.
     pub shard_size: u32,
-    /// Per-trial hang detection; see [`Watchdog`].
-    pub watchdog: Watchdog,
     /// Golden-snapshot capture for trial fast-forward; see
     /// [`SnapshotPolicy`]. Tallies are identical under every policy.
     pub snapshots: SnapshotPolicy,
@@ -146,7 +110,6 @@ impl Budget {
             ci_half_width: None,
             seed: 0x5EED,
             shard_size: Self::DEFAULT_SHARD_SIZE,
-            watchdog: Watchdog::default(),
             snapshots: SnapshotPolicy::default(),
         }
     }
@@ -161,7 +124,6 @@ impl Budget {
             ci_half_width: Some(ci_half_width),
             seed: 0x5EED,
             shard_size: Self::DEFAULT_SHARD_SIZE,
-            watchdog: Watchdog::default(),
             snapshots: SnapshotPolicy::default(),
         }
     }
@@ -193,41 +155,9 @@ impl Budget {
         self
     }
 
-    /// Replace the watchdog configuration.
-    pub fn watchdog(mut self, watchdog: Watchdog) -> Self {
-        self.watchdog = watchdog;
-        self
-    }
-
     /// Replace the snapshot policy (trial fast-forward).
     pub fn snapshots(mut self, policy: SnapshotPolicy) -> Self {
         self.snapshots = policy;
-        self
-    }
-
-    /// Arm the per-trial wall-clock watchdog (see
-    /// [`Watchdog::wall_budget`] for the determinism trade-off).
-    pub fn wall_budget(mut self, budget: Duration) -> Self {
-        self.watchdog.wall_budget = Some(budget);
-        self
-    }
-
-    /// Replace the CI half-width target.
-    pub fn ci_target(mut self, half_width: f64) -> Self {
-        self.ci_half_width = Some(half_width);
-        self
-    }
-
-    /// Drop the CI target: run the full ceiling.
-    pub fn exhaustive(mut self) -> Self {
-        self.ci_half_width = None;
-        self
-    }
-
-    /// Multiply floor and ceiling by `factor` (saturating).
-    pub fn scaled(mut self, factor: u32) -> Self {
-        self.floor = self.floor.saturating_mul(factor);
-        self.ceiling = self.ceiling.saturating_mul(factor);
         self
     }
 
@@ -273,11 +203,9 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let b = Budget::fixed(100).seed(7).shard_size(16).ci_target(0.01);
+        let b = Budget::fixed(100).seed(7).shard_size(16);
         assert_eq!(b.seed, 7);
         assert_eq!(b.shard_size, 16);
-        assert_eq!(b.ci_half_width, Some(0.01));
-        assert_eq!(b.exhaustive().ci_half_width, None);
     }
 
     #[test]
@@ -288,7 +216,6 @@ mod tests {
             ci_half_width: None,
             seed: 0,
             shard_size: 8,
-            watchdog: Watchdog::default(),
             snapshots: SnapshotPolicy::default(),
         };
         assert_eq!(b.effective_ceiling(), 10);
@@ -311,18 +238,8 @@ mod tests {
     }
 
     #[test]
-    fn scaled_multiplies_both_bounds() {
-        let b = Budget::adaptive(10, 40, 0.05).scaled(10);
-        assert_eq!((b.floor, b.ceiling), (100, 400));
-    }
-
-    #[test]
-    fn watchdog_dyn_limit_matches_formula_and_saturates() {
-        let w = Watchdog::default();
-        assert_eq!(w.dyn_limit(1000), 4 * 1000 + 100_000);
-        assert_eq!(w.dyn_limit(u64::MAX), u64::MAX);
-        assert_eq!(Watchdog::default().wall_budget, None);
-        let armed = Budget::fixed(10).wall_budget(Duration::from_millis(50));
-        assert_eq!(armed.watchdog.wall_budget, Some(Duration::from_millis(50)));
+    fn dyn_limit_matches_formula_and_saturates() {
+        assert_eq!(dyn_limit(1000), 4 * 1000 + 100_000);
+        assert_eq!(dyn_limit(u64::MAX), u64::MAX);
     }
 }

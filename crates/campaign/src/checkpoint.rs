@@ -42,10 +42,6 @@ pub struct CampaignKey {
     pub ceiling: u32,
     /// Wilson CI half-width stop target (`None`: fixed budget).
     pub ci_half_width: Option<f64>,
-    /// Watchdog dynamic-instruction factor.
-    pub dyn_factor: u64,
-    /// Watchdog dynamic-instruction slack.
-    pub dyn_slack: u64,
 }
 
 impl CampaignKey {
@@ -60,8 +56,6 @@ impl CampaignKey {
             floor: budget.floor,
             ceiling: budget.ceiling,
             ci_half_width: budget.ci_half_width,
-            dyn_factor: budget.watchdog.dyn_factor,
-            dyn_slack: budget.watchdog.dyn_slack,
         }
     }
 
@@ -70,15 +64,8 @@ impl CampaignKey {
     pub(crate) fn canonical(&self) -> String {
         let ci = self.ci_half_width.map_or_else(|| "none".to_string(), |c| format!("{c:?}"));
         format!(
-            "{} target={:016x} seed={} shard={} floor={} ceiling={} ci={ci} dyn={}x+{}",
-            self.label,
-            self.target,
-            self.seed,
-            self.shard_size,
-            self.floor,
-            self.ceiling,
-            self.dyn_factor,
-            self.dyn_slack
+            "{} target={:016x} seed={} shard={} floor={} ceiling={} ci={ci}",
+            self.label, self.target, self.seed, self.shard_size, self.floor, self.ceiling
         )
     }
 }
@@ -110,9 +97,7 @@ impl Checkpoint {
             .push_str("seed", &key.seed.to_string())
             .push_uint("shard_size", key.shard_size as u64)
             .push_uint("floor", key.floor as u64)
-            .push_uint("ceiling", key.ceiling as u64)
-            .push_uint("dyn_factor", key.dyn_factor)
-            .push_uint("dyn_slack", key.dyn_slack);
+            .push_uint("ceiling", key.ceiling as u64);
         if let Some(ci) = key.ci_half_width {
             r.push_float("ci_half_width", ci);
         }
@@ -187,8 +172,6 @@ impl Checkpoint {
                 floor: uint_field("floor")? as u32,
                 ceiling: uint_field("ceiling")? as u32,
                 ci_half_width,
-                dyn_factor: uint_field("dyn_factor")?,
-                dyn_slack: uint_field("dyn_slack")?,
             },
             shards_done: uint_field("shards_done")? as u32,
             trials: uint_field("trials")?,
@@ -333,18 +316,33 @@ mod tests {
     }
 
     #[test]
+    fn lines_carrying_the_retired_watchdog_fields_still_parse() {
+        // Checkpoints written while the hang bound was a budget field
+        // carry `dyn_factor`/`dyn_slack`; they parse to the same key, so
+        // such stores still resume.
+        let cp = sample();
+        let line = cp.to_json_line();
+        let old = line.replacen(
+            "\"ceiling\":400,",
+            "\"ceiling\":400,\"dyn_factor\":4,\"dyn_slack\":100000,",
+            1,
+        );
+        assert_ne!(old, line);
+        assert_eq!(Checkpoint::parse(&old).unwrap(), cp);
+        assert_eq!(Checkpoint::last_in_stream(&old, &cp.key), Some(cp));
+    }
+
+    #[test]
     fn scan_matches_every_key_field() {
         let cp = sample();
         let stream = cp.to_json_line();
-        let variants: [fn(&mut CampaignKey); 8] = [
+        let variants: [fn(&mut CampaignKey); 6] = [
             |k| k.target ^= 1,
             |k| k.seed += 1,
             |k| k.shard_size += 1,
             |k| k.floor += 1,
             |k| k.ceiling += 1,
             |k| k.ci_half_width = None,
-            |k| k.dyn_factor += 1,
-            |k| k.dyn_slack += 1,
         ];
         for vary in variants {
             let mut key = cp.key.clone();

@@ -25,11 +25,11 @@
 //! boundary are discarded, which keeps the decision independent of the
 //! worker count.
 
-use crate::budget::Budget;
+use crate::budget::{dyn_limit, Budget};
 use crate::checkpoint::{CampaignKey, Checkpoint};
 use crate::golden;
 use crate::store::CheckpointStore;
-use crate::supervise::{panic_message, DeadlineMonitor, QuarantineRecord};
+use crate::supervise::{panic_message, QuarantineRecord};
 use gpu_arch::DeviceModel;
 use gpu_sim::{
     nearest_snapshot, DueKind, EngineSnapshot, ExecStatus, Executed, FaultPlan, RunOptions, Target,
@@ -217,9 +217,6 @@ impl CampaignRun {
     }
 }
 
-/// A borrowed callback invoked with each emitted [`Checkpoint`].
-type CheckpointSink<'a> = Box<dyn FnMut(&Checkpoint) + 'a>;
-
 /// A configured campaign, ready to run. Build with [`Campaign::new`],
 /// chain the builder methods, then call [`Campaign::run`] (domain result)
 /// or [`Campaign::run_full`] (domain result plus [`CampaignRun`]).
@@ -230,8 +227,6 @@ pub struct Campaign<'a, T: Target + Sync + ?Sized, K: Kind<T>> {
     budget: Budget,
     observer: CampaignObserver<'a>,
     workers: usize,
-    sink: Option<CheckpointSink<'a>>,
-    resume: Option<Checkpoint>,
     store: Option<&'a mut CheckpointStore>,
 }
 
@@ -246,8 +241,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             budget: Budget::default(),
             observer: CampaignObserver::none(),
             workers: 1,
-            sink: None,
-            resume: None,
             store: None,
         }
     }
@@ -271,32 +264,16 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         self
     }
 
-    /// Receive a checkpoint after every folded shard (write them to a
-    /// JSONL stream with [`Checkpoint::to_json_line`]).
-    pub fn on_checkpoint(mut self, sink: impl FnMut(&Checkpoint) + 'a) -> Self {
-        self.sink = Some(Box::new(sink));
-        self
-    }
-
-    /// Attach a durable [`CheckpointStore`]: a checkpoint is saved to it
-    /// after every folded shard, quarantined trials are appended to its
-    /// quarantine journal, and — unless
-    /// [`Campaign::resume_from`] was given explicitly — the campaign
-    /// automatically resumes from the store's last checkpoint for this
-    /// campaign's [`CampaignKey`] (label, target digest and budget).
+    /// Attach a durable [`CheckpointStore`] — the one way to resume a
+    /// campaign. A checkpoint is saved to it after every folded shard,
+    /// quarantined trials are appended to its quarantine journal, and the
+    /// campaign resumes from the store's last checkpoint for this
+    /// campaign's [`CampaignKey`] (label, target digest and budget). The
+    /// completed run is bit-identical to an uninterrupted one; a stored
+    /// checkpoint that is not at a shard boundary of this budget's
+    /// partition fails the run with [`CampaignError::CheckpointMismatch`].
     pub fn store(mut self, store: &'a mut CheckpointStore) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Resume from a previously emitted checkpoint instead of starting at
-    /// shard 0. The checkpoint's [`CampaignKey`] must equal this
-    /// campaign's (label, target digest and every tally-affecting budget
-    /// field), else the run fails with
-    /// [`CampaignError::CheckpointMismatch`]; the completed run is
-    /// bit-identical to an uninterrupted one.
-    pub fn resume_from(mut self, checkpoint: Checkpoint) -> Self {
-        self.resume = Some(checkpoint);
         self
     }
 
@@ -337,7 +314,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         let floor = self.budget.effective_floor() as u64;
         let ci = self.budget.ci_half_width;
         let total_shards = ceiling.div_ceil(shard_size) as u32;
-        let watchdog = self.budget.watchdog.dyn_limit(golden.counts.total);
+        let watchdog = dyn_limit(golden.counts.total);
         let base_seed = self.budget.seed ^ fnv1a(self.target.name());
         // Trial span IDs are keyed off the campaign label + trial index,
         // so a trial's span ID is stable across runs and worker counts
@@ -358,11 +335,10 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             }
         }
 
-        if self.resume.is_none() {
-            if let Some(store) = self.store.as_mut() {
-                self.resume = store.load(&key).map_err(|e| CampaignError::Store(e.to_string()))?;
-            }
-        }
+        let resume = match self.store.as_mut() {
+            Some(store) => store.load(&key).map_err(|e| CampaignError::Store(e.to_string()))?,
+            None => None,
+        };
 
         let mut counts = OutcomeCounts::default();
         let mut executed = OutcomeCounts::default();
@@ -372,7 +348,9 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         let mut trials = 0u64;
         let mut next_shard = 0u32;
         let mut resumed_trials = 0u64;
-        if let Some(cp) = self.resume.take() {
+        if let Some(cp) = resume {
+            // The store matches keys and validates lines, but what it
+            // returns was read from disk: check it against this campaign.
             if cp.key != key {
                 return Err(CampaignError::CheckpointMismatch(format!(
                     "checkpoint is for {}, campaign is {}",
@@ -403,8 +381,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         } else {
             self.workers
         };
-        let monitor =
-            self.budget.watchdog.wall_budget.map(|wall| DeadlineMonitor::new(wall, workers));
         let mut retries = 0u64;
         let mut quarantine: Vec<QuarantineRecord> = Vec::new();
 
@@ -427,7 +403,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
                 self.observer,
                 campaign_span_id,
                 key_base,
-                monitor.as_ref(),
             )?;
             for mut out in outs {
                 counts += out.counts;
@@ -479,17 +454,12 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
                         ],
                     );
                 }
-                if self.sink.is_some() || self.store.is_some() {
+                if let Some(store) = self.store.as_mut() {
                     let cp = snapshot(&key, next_shard, trials, counts, &direct);
-                    if let Some(sink) = self.sink.as_mut() {
-                        sink(&cp);
-                    }
-                    if let Some(store) = self.store.as_mut() {
-                        let save_timer = obs::Timer::start();
-                        store.save(&cp).map_err(|e| CampaignError::Store(e.to_string()))?;
-                        if let Some(m) = self.observer.metrics {
-                            save_timer.observe(&m.histogram("campaign.store.save_micros"));
-                        }
+                    let save_timer = obs::Timer::start();
+                    store.save(&cp).map_err(|e| CampaignError::Store(e.to_string()))?;
+                    if let Some(m) = self.observer.metrics {
+                        save_timer.observe(&m.histogram("campaign.store.save_micros"));
                     }
                 }
                 if stop.is_some() {
@@ -588,13 +558,10 @@ fn run_wave<T: Target + Sync + ?Sized, S: Sampler>(
     observer: CampaignObserver<'_>,
     campaign_span: u64,
     key_base: u64,
-    monitor: Option<&DeadlineMonitor>,
 ) -> Result<Vec<ShardOut>, CampaignError> {
-    let wave_start = shards.start;
     let run_one = |s: u32| {
         let start = s as u64 * shard_size;
         let end = ((s as u64 + 1) * shard_size).min(ceiling);
-        let slot = (s - wave_start) as usize;
         run_shard(
             target,
             device,
@@ -609,7 +576,6 @@ fn run_wave<T: Target + Sync + ?Sized, S: Sampler>(
             observer,
             campaign_span,
             key_base,
-            monitor.map(|m| (m, slot)),
         )
     };
     if shards.len() == 1 {
@@ -677,7 +643,6 @@ fn run_trial<T: Target + Sync + ?Sized, S: Sampler>(
     watchdog: u64,
     trial: u64,
     rng: &mut ChaCha12Rng,
-    monitor: Option<(&DeadlineMonitor, usize)>,
     phase_trace: Option<(&SpanBus, u64, u64)>,
     ff: Option<&[Arc<EngineSnapshot>]>,
 ) -> TrialTally {
@@ -688,18 +653,13 @@ fn run_trial<T: Target + Sync + ?Sized, S: Sampler>(
             TrialTally::Direct { outcome, due, label, stratum }
         }
         TrialPlan::Fault(plan) => {
-            let cancel = monitor.map(|(m, slot)| m.arm(slot));
             // Fast-forward: resume from the latest golden snapshot at or
             // before the fault site. The skipped prefix is fault-free and
             // bit-identical to the golden run, so the tally is the same
             // either way — only the wall clock changes.
             let resume = ff.and_then(|snaps| nearest_snapshot(snaps, &plan)).cloned();
             let fast_forwarded = resume.as_ref().map(|s| s.dyn_count());
-            let opts = RunOptions::trial(plan)
-                .ecc(ecc)
-                .watchdog(watchdog)
-                .cancel_flag(cancel)
-                .resume(resume);
+            let opts = RunOptions::trial(plan).ecc(ecc).watchdog(watchdog).resume(resume);
             // Sampled trials run with the engine-phase sink attached; the
             // sink only timestamps phase events, so architectural results
             // (and therefore tallies) are identical either way.
@@ -710,9 +670,6 @@ fn run_trial<T: Target + Sync + ?Sized, S: Sampler>(
                 }
                 None => target.execute(device, &opts),
             };
-            if let Some((m, slot)) = monitor {
-                m.disarm(slot);
-            }
             let (outcome, due) = match faulty.status {
                 ExecStatus::Due(kind) => (Outcome::Due, Some(kind)),
                 ExecStatus::Completed => {
@@ -784,7 +741,6 @@ fn run_shard<T: Target + Sync + ?Sized, S: Sampler>(
     observer: CampaignObserver<'_>,
     campaign_span: u64,
     key_base: u64,
-    monitor: Option<(&DeadlineMonitor, usize)>,
 ) -> ShardOut {
     let started = Instant::now();
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
@@ -830,7 +786,6 @@ fn run_shard<T: Target + Sync + ?Sized, S: Sampler>(
                 watchdog,
                 trial,
                 &mut r,
-                monitor,
                 phase_trace,
                 ff,
             );
@@ -842,9 +797,6 @@ fn run_shard<T: Target + Sync + ?Sized, S: Sampler>(
                 // First panic: deterministic retry on a fresh replay of
                 // the same stream (the clone in `attempt`).
                 out.retries += 1;
-                if let Some((m, slot)) = monitor {
-                    m.disarm(slot);
-                }
                 if let Some(bus) = observer.spans {
                     bus.instant(
                         "retry",
@@ -888,15 +840,12 @@ fn run_shard<T: Target + Sync + ?Sized, S: Sampler>(
                     ];
                     if let Some(kind) = due {
                         args.push(("due", kind.name().to_string()));
-                        if matches!(kind, DueKind::Watchdog | DueKind::HostWatchdog) {
+                        if kind == DueKind::Watchdog {
                             bus.instant(
                                 "watchdog",
                                 shard_span_id,
                                 span_tid,
-                                vec![
-                                    ("trial", trial.to_string()),
-                                    ("kind", kind.name().to_string()),
-                                ],
+                                vec![("trial", trial.to_string())],
                             );
                         }
                     }
@@ -909,9 +858,6 @@ fn run_shard<T: Target + Sync + ?Sized, S: Sampler>(
                 // replaying the sampler alone on another snapshot clone
                 // (execution never consumes RNG, so this also yields the
                 // canonical post-trial stream state).
-                if let Some((m, slot)) = monitor {
-                    m.disarm(slot);
-                }
                 let replay = catch_unwind(AssertUnwindSafe(|| {
                     let mut r = snap.clone();
                     let plan = match sampler.sample(trial, &mut r) {
@@ -1032,9 +978,6 @@ fn export_shard_metrics(m: &MetricsRegistry, out: &ShardOut) {
     }
     if let Some(n) = out.dues.get(DueKind::Watchdog.name()) {
         m.counter("campaign.watchdog.dyn_trips").add(*n);
-    }
-    if let Some(n) = out.dues.get(DueKind::HostWatchdog.name()) {
-        m.counter("campaign.watchdog.wall_trips").add(*n);
     }
     if out.retries > 0 {
         m.counter("campaign.trial_retries").add(out.retries);

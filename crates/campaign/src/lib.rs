@@ -64,7 +64,7 @@ pub mod golden;
 mod store;
 mod supervise;
 
-pub use budget::{Budget, SnapshotPolicy, Watchdog};
+pub use budget::{dyn_limit, Budget, SnapshotPolicy};
 pub use checkpoint::{CampaignKey, Checkpoint, StreamScan, CHECKPOINT_REPORT_KIND};
 pub use engine::{
     Campaign, CampaignError, CampaignRun, Kind, Sampler, StopReason, TrialPlan, QUARANTINE_LABEL,

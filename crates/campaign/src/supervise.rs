@@ -1,20 +1,10 @@
-//! Trial supervision: the wall-clock deadline monitor behind
-//! [`crate::Watchdog::wall_budget`] and the quarantine record emitted
-//! when a trial panics twice.
-//!
-//! The layering mirrors the paper's beam setup: the dynamic-instruction
-//! watchdog is the application-level timeout (deterministic, always on),
-//! and the [`DeadlineMonitor`] is the host watchdog behind it — a
-//! separate thread that reaps trials the in-band mechanism cannot see,
-//! by flipping the cooperative [`gpu_sim::RunOptions::cancel`] flag the
-//! simulator polls.
+//! Trial supervision: the quarantine record emitted when a trial panics
+//! twice. Hangs need no supervisor thread — the dynamic-instruction
+//! bound ([`crate::dyn_limit`]) and the engine's stall and deadlock
+//! detectors end every hung trial deterministically.
 
 use gpu_sim::FaultPlan;
 use obs::RunReport;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// The JSONL `"report"` tag of a quarantine line.
 pub const QUARANTINE_REPORT_KIND: &str = "campaign.quarantine";
@@ -64,94 +54,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-worker-slot watchdog state. The deadline and the cancel flag are
-/// updated under one lock so a monitor trip can never leak into the
-/// *next* trial on the same slot: by the time [`DeadlineMonitor::arm`]
-/// returns, any concurrent trip against the old deadline has completed
-/// and been reset.
-struct SlotState {
-    deadline: Option<Instant>,
-    cancel: Arc<AtomicBool>,
-}
-
-/// A wall-clock watchdog for a wave of worker slots.
-///
-/// Each worker arms its slot before executing a trial and disarms it
-/// after; a monitor thread polls the slots and flips the slot's cancel
-/// flag when its deadline passes. The simulator polls that flag every
-/// [`gpu_sim::CANCEL_POLL_INTERVAL`] dynamic instructions and aborts the
-/// run as [`gpu_sim::DueKind::HostWatchdog`].
-pub(crate) struct DeadlineMonitor {
-    slots: Arc<Vec<Mutex<SlotState>>>,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-    wall: Duration,
-}
-
-impl DeadlineMonitor {
-    /// Spawn a monitor for `slots` workers with a per-trial budget of
-    /// `wall`.
-    pub(crate) fn new(wall: Duration, slots: usize) -> DeadlineMonitor {
-        let slots: Arc<Vec<Mutex<SlotState>>> = Arc::new(
-            (0..slots.max(1))
-                .map(|_| {
-                    Mutex::new(SlotState {
-                        deadline: None,
-                        cancel: Arc::new(AtomicBool::new(false)),
-                    })
-                })
-                .collect(),
-        );
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // Poll a few times per budget so a hung trial is reaped promptly,
-        // but never busier than 1 kHz and never lazier than 40 Hz.
-        let poll = (wall / 8).clamp(Duration::from_millis(1), Duration::from_millis(25));
-        let handle = {
-            let slots = Arc::clone(&slots);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    let now = Instant::now();
-                    for slot in slots.iter() {
-                        let state = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                        if state.deadline.is_some_and(|d| now >= d) {
-                            state.cancel.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    std::thread::sleep(poll);
-                }
-            })
-        };
-        DeadlineMonitor { slots, shutdown, handle: Some(handle), wall }
-    }
-
-    /// Arm `slot` for one trial: reset its cancel flag and start the
-    /// wall-clock budget now. Returns the flag to hand to the simulator.
-    pub(crate) fn arm(&self, slot: usize) -> Arc<AtomicBool> {
-        let mut state =
-            self.slots[slot % self.slots.len()].lock().unwrap_or_else(PoisonError::into_inner);
-        state.cancel.store(false, Ordering::Relaxed);
-        state.deadline = Some(Instant::now() + self.wall);
-        Arc::clone(&state.cancel)
-    }
-
-    /// Disarm `slot` after its trial finished (either way).
-    pub(crate) fn disarm(&self, slot: usize) {
-        let mut state =
-            self.slots[slot % self.slots.len()].lock().unwrap_or_else(PoisonError::into_inner);
-        state.deadline = None;
-    }
-}
-
-impl Drop for DeadlineMonitor {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -173,31 +75,5 @@ mod tests {
         assert!(line.contains("boom"));
         let none = QuarantineRecord { plan: None, ..rec };
         assert!(none.to_json_line().contains("sampler-panicked"));
-    }
-
-    #[test]
-    fn monitor_trips_expired_deadline_and_rearms_clean() {
-        let monitor = DeadlineMonitor::new(Duration::from_millis(5), 2);
-        let cancel = monitor.arm(0);
-        // Wait out the budget plus a couple of poll periods.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !cancel.load(Ordering::Relaxed) {
-            assert!(Instant::now() < deadline, "monitor never tripped");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        monitor.disarm(0);
-        // Re-arming the same slot must start clean.
-        let again = monitor.arm(0);
-        assert!(!again.load(Ordering::Relaxed));
-        monitor.disarm(0);
-    }
-
-    #[test]
-    fn disarmed_slot_never_trips() {
-        let monitor = DeadlineMonitor::new(Duration::from_millis(2), 1);
-        let cancel = monitor.arm(0);
-        monitor.disarm(0);
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!cancel.load(Ordering::Relaxed));
     }
 }

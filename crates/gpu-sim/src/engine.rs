@@ -20,7 +20,6 @@ use gpu_arch::{
 };
 use obs::{MemSpace, TraceEvent, TraceSink};
 use softfloat::F16;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Forward an event to the installed sink, if any. Event construction
@@ -47,23 +46,12 @@ pub struct RunOptions {
     /// instructions have executed. Injectors derive this from the golden
     /// run; `u64::MAX` disables the watchdog.
     pub watchdog_limit: u64,
-    /// Record the first N executed instructions (disassembly with block/
-    /// thread coordinates) into [`Executed::trace`]. Zero disables
-    /// tracing; campaigns leave it off.
-    pub trace_limit: usize,
     /// Record the static pc of every dynamic injectable GPR-writer site
     /// (and per-block dynamic-count windows) into
     /// [`Executed::sites_record`]. Golden runs backing statically-pruned
     /// campaigns turn this on; it is off by default because the record
     /// grows with the dynamic instruction count.
     pub record_sites: bool,
-    /// Cooperative cancellation flag, polled in the dispatch loop every
-    /// [`CANCEL_POLL_INTERVAL`] dynamic instructions. When an external
-    /// watchdog sets it, the run aborts as a [`DueKind::HostWatchdog`]
-    /// DUE — the wall-clock complement to [`RunOptions::watchdog_limit`],
-    /// which bounds dynamic instructions but not real time. `None` (the
-    /// default) costs one `Option` check per poll window.
-    pub cancel: Option<Arc<AtomicBool>>,
     /// Capture an [`EngineSnapshot`] into [`Executed::snapshots`] roughly
     /// every this many dynamic instructions (at the next block-scheduler
     /// round boundary). Zero (the default) disables capture. Golden runs
@@ -105,23 +93,9 @@ impl RunOptions {
         self
     }
 
-    /// Record the first `limit` executed instructions (see
-    /// [`RunOptions::trace_limit`]).
-    pub fn trace(mut self, limit: usize) -> Self {
-        self.trace_limit = limit;
-        self
-    }
-
     /// Toggle site-provenance recording (see [`RunOptions::record_sites`]).
     pub fn record_sites(mut self, on: bool) -> Self {
         self.record_sites = on;
-        self
-    }
-
-    /// Install (or clear) the cooperative cancellation flag (see
-    /// [`RunOptions::cancel`]).
-    pub fn cancel_flag(mut self, flag: Option<Arc<AtomicBool>>) -> Self {
-        self.cancel = flag;
         self
     }
 
@@ -140,21 +114,13 @@ impl RunOptions {
     }
 }
 
-/// How many dynamic instructions pass between polls of
-/// [`RunOptions::cancel`]. A power of two so the poll reduces to a mask
-/// test; small enough that a hung trial is reaped within microseconds of
-/// its deadline at simulator speeds.
-pub const CANCEL_POLL_INTERVAL: u64 = 1024;
-
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             ecc: true,
             fault: FaultPlan::None,
             watchdog_limit: u64::MAX,
-            trace_limit: 0,
             record_sites: false,
-            cancel: None,
             snapshot_stride: 0,
             resume_from: None,
         }
@@ -278,9 +244,6 @@ pub struct Executed {
     pub timing: TimingReport,
     /// Whether the fault plan's trigger point was actually reached.
     pub fault_triggered: bool,
-    /// Execution trace (first `trace_limit` instructions), empty unless
-    /// requested.
-    pub trace: Vec<String>,
     /// Site provenance, present iff [`RunOptions::record_sites`] was set.
     pub sites_record: Option<SitesRecord>,
     /// Engine snapshots captured at [`RunOptions::snapshot_stride`]
@@ -428,7 +391,6 @@ struct Ctx<'a> {
     /// stuck-at plans emit a single trace event.
     hidden_fired: bool,
     current_block: u32,
-    trace: Vec<String>,
     record: Option<SitesRecord>,
     cap: Option<Capture>,
     sink: Option<&'a mut (dyn TraceSink + 'a)>,
@@ -551,7 +513,6 @@ pub fn try_run_with_sink<'a>(
         fault_triggered: false,
         hidden_fired: false,
         current_block: 0,
-        trace: Vec::new(),
         record: opts.record_sites.then(SitesRecord::default),
         cap: (opts.snapshot_stride > 0).then(|| Capture {
             stride: opts.snapshot_stride,
@@ -629,7 +590,6 @@ pub fn try_run_with_sink<'a>(
         counts: ctx.counts,
         timing,
         fault_triggered: ctx.fault_triggered,
-        trace: ctx.trace,
         sites_record: ctx.record,
         snapshots: ctx.cap.map(|c| c.snapshots).unwrap_or_default(),
     })
@@ -1100,13 +1060,6 @@ fn account(ctx: &mut Ctx<'_>, meta: &InstrMeta, global_warp: usize) -> Result<u6
     if ctx.dyn_count > ctx.opts.watchdog_limit {
         return Err(DueKind::Watchdog);
     }
-    if ctx.dyn_count.is_multiple_of(CANCEL_POLL_INTERVAL) {
-        if let Some(cancel) = &ctx.opts.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(DueKind::HostWatchdog);
-            }
-        }
-    }
     Ok(idx)
 }
 
@@ -1363,9 +1316,6 @@ fn step(
         block_linear as usize * ctx.launch.warps_per_block() as usize + warp_in_block as usize;
 
     let executed_idx = account(ctx, meta, global_warp)?;
-    if ctx.trace.len() < ctx.opts.trace_limit {
-        ctx.trace.push(format!("[{executed_idx:>6}] b{block_linear} t{lane:<3} /*{pc:04}*/ {ins}"));
-    }
     emit!(
         ctx,
         TraceEvent::InstrRetired {
@@ -1796,9 +1746,6 @@ fn exec_mma(
     let global_warp =
         ctx.current_block as usize * ctx.launch.warps_per_block() as usize + warp_in_block;
     let executed_idx = account(ctx, meta, global_warp)?;
-    if ctx.trace.len() < ctx.opts.trace_limit {
-        ctx.trace.push(format!("[{executed_idx:>6}] warp{global_warp:<3} {ins}"));
-    }
     emit!(
         ctx,
         TraceEvent::InstrRetired {
@@ -1909,14 +1856,11 @@ fn exec_shfl(
     let warp_in_block = lo / WARP_SIZE as usize;
     let global_warp =
         ctx.current_block as usize * ctx.launch.warps_per_block() as usize + warp_in_block;
-    let _idx = account(ctx, meta, global_warp)?;
-    if ctx.trace.len() < ctx.opts.trace_limit {
-        ctx.trace.push(format!("[{_idx:>6}] warp{global_warp:<3} {ins}"));
-    }
+    let idx = account(ctx, meta, global_warp)?;
     emit!(
         ctx,
         TraceEvent::InstrRetired {
-            idx: _idx,
+            idx,
             block: ctx.current_block,
             warp: global_warp as u32,
             lane: u32::MAX,

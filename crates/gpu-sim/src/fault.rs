@@ -327,18 +327,11 @@ pub enum DueKind {
     /// A pending-memory-queue entry was flagged poisoned and the memory
     /// controller raised a detected error ([`FaultPlan::MemQueue`]).
     MemQueueFault,
-    /// The host-side wall-clock watchdog cancelled the run via
-    /// [`crate::RunOptions::cancel`] — the software analogue of the beam
-    /// room's host watchdog power-cycling a hung board. Unlike
-    /// [`DueKind::Watchdog`] (a dynamic-instruction bound), this kind is
-    /// driven by real time and therefore only appears when a campaign
-    /// arms a per-trial wall budget.
-    HostWatchdog,
 }
 
 impl DueKind {
     /// Every DUE kind, in reporting order (for metric pre-registration).
-    pub const ALL: [DueKind; 11] = [
+    pub const ALL: [DueKind; 10] = [
         DueKind::MemoryViolation,
         DueKind::SharedViolation,
         DueKind::IllegalPc,
@@ -349,7 +342,6 @@ impl DueKind {
         DueKind::SchedulerStall,
         DueKind::FetchFault,
         DueKind::MemQueueFault,
-        DueKind::HostWatchdog,
     ];
 
     /// Stable short identifier used in trace events and metric names.
@@ -365,7 +357,6 @@ impl DueKind {
             DueKind::SchedulerStall => "scheduler-stall",
             DueKind::FetchFault => "fetch-fault",
             DueKind::MemQueueFault => "mem-queue-fault",
-            DueKind::HostWatchdog => "host-watchdog",
         }
     }
 }
@@ -383,7 +374,6 @@ impl fmt::Display for DueKind {
             DueKind::SchedulerStall => "warp-scheduler starvation stall",
             DueKind::FetchFault => "fetch/decode fault",
             DueKind::MemQueueFault => "memory-queue entry fault",
-            DueKind::HostWatchdog => "host wall-clock watchdog abort",
         };
         write!(f, "{s}")
     }

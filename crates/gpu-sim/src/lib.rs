@@ -32,7 +32,7 @@ pub mod timing;
 
 pub use engine::{
     run, run_with_sink, try_run_with_sink, Counts, ExecStatus, Executed, RunOptions, SiteCounts,
-    SitesRecord, CANCEL_POLL_INTERVAL,
+    SitesRecord,
 };
 pub use error::SimError;
 pub use fault::{BitFlip, DueKind, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass};

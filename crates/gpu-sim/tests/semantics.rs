@@ -303,31 +303,3 @@ fn warp_sync_with_exited_lane_is_deadlock_due() {
     );
     assert_eq!(out.status, ExecStatus::Due(gpu_sim::DueKind::BarrierDeadlock));
 }
-
-#[test]
-fn trace_records_requested_prefix() {
-    use gpu_sim::{run, RunOptions};
-    let mut b = KernelBuilder::new("traced");
-    b.mov(r(0), imm(1));
-    b.iadd(r(0), r(0).into(), imm(2));
-    b.exit();
-    let k = b.build().unwrap();
-    let opts = RunOptions::golden().trace(2);
-    let out = run(
-        &DeviceModel::named("v100-sim"),
-        &k,
-        &LaunchConfig::new(1, 4, vec![]),
-        GlobalMemory::new(4),
-        &opts,
-    );
-    assert_eq!(out.trace.len(), 2);
-    assert!(out.trace[0].contains("MOV R0, 0x1"), "{:?}", out.trace);
-    // Untraced runs carry no overhead.
-    let silent = run_golden(
-        &DeviceModel::named("v100-sim"),
-        &k,
-        &LaunchConfig::new(1, 4, vec![]),
-        GlobalMemory::new(4),
-    );
-    assert!(silent.trace.is_empty());
-}

@@ -217,3 +217,38 @@ fn due_run_ends_with_due_event() {
     // The DUE event is the last thing the engine emits.
     assert!(matches!(sink.events.last(), Some(TraceEvent::DueRaised { .. })));
 }
+
+#[test]
+fn retire_events_locate_the_executed_prefix_in_the_kernel() {
+    // A textual instruction trace is a sink over the first N retire
+    // events: each carries the pc, so the kernel's disassembly at that pc
+    // is the traced line.
+    let mut b = KernelBuilder::new("traced");
+    b.mov(r(0), imm(1));
+    b.iadd(r(0), r(0).into(), imm(2));
+    b.exit();
+    let kernel = b.build().unwrap();
+    let launch = LaunchConfig::new(1, 4, vec![]);
+    let (out, sink) = record(
+        &DeviceModel::named("v100-sim"),
+        &kernel,
+        &launch,
+        GlobalMemory::new(4),
+        &RunOptions::golden(),
+    );
+    assert_eq!(out.status, ExecStatus::Completed);
+    let prefix: Vec<(u64, String)> = sink
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::InstrRetired { idx, pc, .. } => {
+                Some((idx, kernel.instrs[pc as usize].to_string()))
+            }
+            _ => None,
+        })
+        .take(2)
+        .collect();
+    assert_eq!(prefix.len(), 2);
+    assert_eq!((prefix[0].0, prefix[1].0), (0, 1));
+    assert!(prefix[0].1.contains("MOV R0, 0x1"), "{prefix:?}");
+}

@@ -1324,57 +1324,75 @@ mod tests {
         assert_eq!(runs[0], runs[2]);
     }
 
+    fn scratch_store(tag: &str) -> (std::path::PathBuf, campaign::CheckpointStore) {
+        let dir = std::env::temp_dir().join(format!("injector-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = campaign::CheckpointStore::open(&dir).unwrap();
+        (dir, store)
+    }
+
     #[test]
     fn resume_from_checkpoint_is_bit_identical() {
         let kepler = DeviceModel::named("k40c-sim");
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
         let b = budget(80).shard_size(16);
-        let mut checkpoints = Vec::new();
+        let (full_dir, mut full_store) = scratch_store("resume-full");
         let (_, full) = Campaign::new(Avf::new(Injector::Sassifi), &w, &kepler)
             .budget(b.clone())
-            .on_checkpoint(|cp| checkpoints.push(cp.clone()))
+            .store(&mut full_store)
             .run_full()
             .unwrap();
+        drop(full_store);
         assert_eq!(full.trials, 80);
-        assert_eq!(checkpoints.len(), 5);
-        // Round-trip the mid-campaign checkpoint through its JSONL form,
-        // as a separate process would.
-        let mid = campaign::Checkpoint::parse(&checkpoints[2].to_json_line()).unwrap();
+        let history = std::fs::read_to_string(full_dir.join("history.jsonl")).unwrap();
+        let lines: Vec<&str> = history.lines().collect();
+        assert_eq!(lines.len(), 5);
+        // Replay the mid-campaign checkpoint from its JSONL form into a
+        // fresh store, as a restarted process would find it.
+        let mid = campaign::Checkpoint::parse(lines[2]).unwrap();
         assert_eq!(mid.trials, 48);
+        let (dir, mut store) = scratch_store("resume-mid");
+        store.save(&mid).unwrap();
         let (_, resumed) = Campaign::new(Avf::new(Injector::Sassifi), &w, &kepler)
             .budget(b)
-            .resume_from(mid)
+            .store(&mut store)
             .run_full()
             .unwrap();
         assert_eq!(resumed.counts, full.counts);
         assert_eq!(resumed.trials, full.trials);
         assert_eq!(resumed.resumed_trials, 48);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&full_dir);
     }
 
     #[test]
-    fn resume_rejects_mismatched_partition() {
+    fn stored_checkpoint_off_a_shard_boundary_is_rejected() {
         let kepler = DeviceModel::named("k40c-sim");
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
         let b = budget(64).shard_size(16);
-        let mut checkpoints = Vec::new();
-        Campaign::new(Avf::new(Injector::Sassifi), &w, &kepler)
+        let (dir, mut store) = scratch_store("partition");
+        let (_, run) = Campaign::new(Avf::new(Injector::Sassifi), &w, &kepler)
             .budget(b.clone())
-            .on_checkpoint(|cp| checkpoints.push(cp.clone()))
-            .run()
+            .store(&mut store)
+            .run_full()
             .unwrap();
-        let mid = checkpoints[1].clone();
+        // Same campaign key, but 20 trials is no boundary of 16-trial
+        // shards: the engine must refuse to resume from it.
+        let mut off = run.checkpoint;
+        off.shards_done = 1;
+        off.trials = 20;
+        off.counts = OutcomeCounts { sdc: 0, due: 0, masked: 20 };
+        off.direct.clear();
+        store.save(&off).unwrap();
         let err = Campaign::new(Avf::new(Injector::Sassifi), &w, &kepler)
-            .budget(b.clone().seed(43))
-            .resume_from(mid.clone())
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, campaign::CampaignError::CheckpointMismatch(_)));
-        let err = Campaign::new(Avf::new(Injector::NvBitFi), &w, &kepler)
             .budget(b)
-            .resume_from(mid)
+            .store(&mut store)
             .run()
             .unwrap_err();
-        assert!(matches!(err, campaign::CampaignError::CheckpointMismatch(_)));
+        assert!(matches!(err, campaign::CampaignError::CheckpointMismatch(_)), "{err}");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1386,10 +1404,7 @@ mod tests {
         let alone = avf(Injector::NvBitFi, &w10, &kepler, 96);
         assert_ne!(alone.counts, avf(Injector::NvBitFi, &w7, &kepler, 96).counts);
 
-        let dir =
-            std::env::temp_dir().join(format!("injector-store-builds-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = campaign::CheckpointStore::open(&dir).unwrap();
+        let (dir, mut store) = scratch_store("store-builds");
         for w in [&w7, &w10] {
             let (r, run) = Campaign::new(Avf::new(Injector::NvBitFi), w, &kepler)
                 .budget(budget(96))
@@ -1544,7 +1559,7 @@ mod tests {
         // population excludes the H* arithmetic.
         let volta = DeviceModel::named("v100-sim");
         let w = build(Benchmark::Hotspot, Precision::Half, CodeGen::Cuda10, Scale::Tiny);
-        let g = w.golden(&volta);
+        let g = w.execute_golden(&volta);
         assert!(g.counts.sites.gpr_writers > g.counts.sites.gpr_writers_no_half);
         let r = avf(Injector::NvBitFi, &w, &volta, 50);
         assert_eq!(r.counts.total(), 50);

@@ -85,7 +85,7 @@ fn main() {
             flip: BitFlip::single(20),
         })
         .ecc(false)
-        .watchdog(golden.counts.total * 4);
+        .watchdog(gpu_reliability::campaign::dyn_limit(golden.counts.total));
         let faulty = run(&device, &kernel, &launch, mem.clone(), &opts);
         let outcome = match faulty.status {
             ExecStatus::Due(_) => Outcome::Due,

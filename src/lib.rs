@@ -67,9 +67,7 @@ pub use workloads;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use beam::{Beam, BeamResult, CrossSections};
-    pub use campaign::{
-        Budget, Campaign, CampaignRun, Checkpoint, CheckpointStore, StopReason, Watchdog,
-    };
+    pub use campaign::{Budget, Campaign, CampaignRun, Checkpoint, CheckpointStore, StopReason};
     pub use gpu_arch::{
         Architecture, CodeGen, DeviceModel, FunctionalUnit, MixCategory, Precision,
     };
